@@ -25,7 +25,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default: the CPUs this process may run on (what `nproc` reports)
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_EVENTS = int(os.environ.get("GRAFT_BENCH_EVENTS", "8000000"))
 # scaling runs need enough work per CPU that compute dominates the fixed
 # per-run serial overhead (~2-3 s: chunk-boundary pipeline drains, manifest

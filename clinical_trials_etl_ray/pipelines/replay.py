@@ -109,12 +109,6 @@ def _shard_metas(paths: list) -> dict:
         return dict(zip(paths, ex.map(_shard_meta, paths)))
 
 
-def _shard_lsn_range(path: str) -> tuple[int, int, int]:
-    """(min_lsn, max_lsn, num_rows) — kept for tests/back-compat."""
-    lo, hi, rows, _ = _shard_meta(path)
-    return lo, hi, rows
-
-
 def plan_chunks(
     shard_paths: list,
     files_per_chunk: int,

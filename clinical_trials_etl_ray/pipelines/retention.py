@@ -102,7 +102,7 @@ def _next_oob_lsn(man: Manifest) -> int:
 def _write_and_commit(
     lake_dir: str,
     man: Manifest,
-    ds,
+    events,
     metrics: dict,
     target_schema: pa.Schema | None = None,
 ):
@@ -110,23 +110,30 @@ def _write_and_commit(
     atomic commit that does NOT advance the watermark (advancing past
     undelivered producer LSNs would silently stale-drop them; out-of-band
     rows participate in LWW purely through their (ts, lsn) rank).
-    ``target_schema``: pass when the write may carry evolved columns (it is
-    recorded in the commit like replay does). Returns
-    (rows_written, files_written, manifest_or_None)."""
+    ``events`` is a Ray Dataset, or an in-memory ``pa.Table`` that is
+    prepped and written right here in the driver — a small correction
+    should not pay for a Ray Data plan. ``target_schema``: pass when the
+    write may carry evolved columns (it is recorded in the commit like
+    replay does). Returns (rows_written, files_written, manifest_or_None)."""
     from ..stages.merge import make_direct_delta_writer, prep_batch
 
-    ds = ds.map_batches(
-        prep_batch,
-        batch_format="pyarrow",
-        fn_kwargs={
-            "num_buckets": man.num_buckets,
-            "min_lsn_exclusive": -1,
-            "salt_factor": man.salt_factor,
-            "target_schema": target_schema,
-        },
-    )
+    prep_kwargs = {
+        "num_buckets": man.num_buckets,
+        "min_lsn_exclusive": -1,
+        "salt_factor": man.salt_factor,
+        "target_schema": target_schema,
+    }
     writer = make_direct_delta_writer(lake_dir, man.watermarks())
-    stats = ds.map_batches(writer, batch_format="pyarrow").take_all()
+    if isinstance(events, pa.Table):
+        stats = writer(prep_batch(events, **prep_kwargs)).to_pylist()
+    else:
+        stats = (
+            events.map_batches(
+                prep_batch, batch_format="pyarrow", fn_kwargs=prep_kwargs
+            )
+            .map_batches(writer, batch_format="pyarrow")
+            .take_all()
+        )
 
     # JSON-safe fileinfo rows (take_all yields numpy scalars)
     new_files = [
@@ -273,25 +280,22 @@ def upsert_table(lake_dir: str, table, op_default: str = "update") -> UpsertRepo
     out-of-order protection, not a failure.
 
     Same scale/exactly-once shape as ``delete_where``: one shuffle-free
-    ``map_batches`` pass through the ingest prep → delta-writer → one
-    atomic commit; the watermark does not advance. Streams keep flowing:
-    a later producer event with a newer ``(ts, lsn)`` updates the
-    corrected row as usual."""
+    pass through the ingest prep → delta-writer → one atomic commit; the
+    watermark does not advance. An in-memory ``pa.Table`` is written from
+    the driver; paths and Datasets run as a Ray Data ``map_batches`` pass.
+    Streams keep flowing: a later producer event with a newer
+    ``(ts, lsn)`` updates the corrected row as usual."""
     import ray.data
 
     man = Manifest.load(lake_dir)
     lsn = _next_oob_lsn(man)
     report = UpsertReport(upsert_lsn=lsn)
 
-    if isinstance(table, pa.Table):
-        ds = ray.data.from_arrow(table)
-        in_schema = table.schema
-    elif isinstance(table, str):
-        ds = ray.data.read_parquet(table)
-        in_schema = ds.schema().base_schema
-    else:
-        ds = table
-        in_schema = ds.schema().base_schema
+    if isinstance(table, str):
+        table = ray.data.read_parquet(table)
+    in_schema = (
+        table.schema if isinstance(table, pa.Table) else table.schema().base_schema
+    )
 
     # additive evolution: correction columns beyond the committed schema
     # join it (same union rule as replay); committed columns the batch
@@ -313,11 +317,14 @@ def upsert_table(lake_dir: str, table, op_default: str = "update") -> UpsertRepo
             t = t.append_column("op", pa.array([op_default] * n, pa.string()))
         return t.append_column("lsn", pa.array([lsn] * n, pa.int64()))
 
-    ds = ds.map_batches(to_events, batch_format="pyarrow")
+    events = (
+        to_events(table) if isinstance(table, pa.Table)
+        else table.map_batches(to_events, batch_format="pyarrow")
+    )
     rows, nfiles, nxt = _write_and_commit(
         lake_dir,
         man,
-        ds,
+        events,
         metrics={"upsert_table": {"lsn": lsn}},
         target_schema=target_schema,
     )
@@ -334,7 +341,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
     inside each, files whose manifest conv min/max range excludes the key
     or whose Bloom filter rejects it are kept untouched WITHOUT being
     opened (Blooms have no false negatives, so the skip is sound). Each
-    remaining file is rewritten in parallel (one Ray task per file) with
+    remaining file is rewritten (``scan_buckets``, one pass per bucket) with
     the key's rows — live versions AND tombstones — removed; emptied files
     are dropped from the manifest. One atomic commit swaps the affected
     buckets' file lists; the watermark does NOT advance (a purge is a
@@ -348,8 +355,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
     (time travel); complete the erasure with
     ``Manifest.expire_versions(keep_last=1)`` + ``cleanup_orphans()``.
     """
-    import ray
-    import ray.data
+    import json
 
     from ..functions.bloom import bloom_might_contain
     from ..functions.hashing import hash_strings
@@ -360,6 +366,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
         _write_immutable,
         candidate_buckets,
         content_hash,
+        scan_buckets,
     )
     from ..state.manifest import bucket_dir
 
@@ -367,7 +374,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
     key_hash = int(hash_strings([conv_id])[0])
     report = PurgeReport(conv_id=conv_id)
 
-    work = []  # (bucket, fileinfo) that may contain the key
+    work: dict[int, list] = {}  # bucket → its files that may contain the key
     kept: dict[int, list] = {}
     for b in candidate_buckets(conv_id, man.num_buckets, man.salt_factor):
         report.buckets_scanned += 1
@@ -384,24 +391,31 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
             if out_of_range or bloom_miss:
                 kept[b].append(f)
             else:
-                work.append({"bucket": b, "file": f})
-    report.files_scanned = len(work)
+                work.setdefault(b, []).append(f)
+    scanned = [f for files in work.values() for f in files]
+    report.files_scanned = len(scanned)
     if not work:
         report.final_version = man.version
         return report
 
-    def rewrite(batch: pa.Table) -> pa.Table:
+    # one row per scanned file; the new file record travels as JSON so it
+    # comes back exactly as written
+    out_schema = pa.schema([
+        ("bucket", pa.int64()), ("action", pa.string()),
+        ("purged", pa.int64()), ("fileinfo", pa.string()),
+    ])
+
+    def rewrite(b: int, files: list):
         import pyarrow.parquet as pq
 
         out = []
-        for row in batch.to_pylist():
-            b, f = row["bucket"], row["file"]
+        for f in files:
             t = pq.read_table(os.path.join(lake_dir, f["path"]))
             keep_mask = pc.not_equal(t["conv_id"], conv_id)
             n_purged = t.num_rows - pc.sum(keep_mask.cast(pa.int64())).as_py()
             if n_purged == 0:  # Bloom false positive — file untouched
                 out.append({"bucket": b, "action": "kept", "purged": 0,
-                            "fileinfo": f})
+                            "fileinfo": json.dumps(f)})
                 continue
             t2 = t.filter(keep_mask)
             if t2.num_rows == 0:
@@ -416,7 +430,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
             tmin, tmax = _ts_us_minmax(t2)
             out.append({
                 "bucket": b, "action": "rewritten", "purged": n_purged,
-                "fileinfo": {
+                "fileinfo": json.dumps({
                     "path": os.path.relpath(path, lake_dir),
                     "kind": f["kind"],
                     "content_hash": h,
@@ -431,27 +445,11 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
                     # a row filter preserves order: a sorted source file
                     # stays streamable after the purge rewrite
                     **({"sorted": True} if f.get("sorted") else {}),
-                },
+                }),
             })
-        return pa.Table.from_pylist(out) if out else pa.table({})
+        yield pa.Table.from_pylist(out, schema=out_schema)
 
-    results = (
-        ray.data.from_items(work, override_num_blocks=len(work))
-        .map_batches(rewrite, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
-
-    def _json_fileinfo(d: dict) -> dict:
-        out = {}
-        for k, v in d.items():
-            if v is None or isinstance(v, bool):
-                out[k] = v
-            elif k in ("row_count", "min_lsn", "max_lsn", "ts_us_min", "ts_us_max"):
-                out[k] = int(v)
-            else:
-                out[k] = str(v) if not isinstance(v, str) else v
-        return out
-
+    results = scan_buckets(lake_dir, work, rewrite, out_schema.empty_table()).take_all()
     for r in results:
         b = int(r["bucket"])
         if r["action"] == "dropped":
@@ -459,7 +457,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
         else:
             if r["action"] == "rewritten":
                 report.files_rewritten += 1
-            kept[b].append(_json_fileinfo(r["fileinfo"]))
+            kept[b].append(json.loads(r["fileinfo"]))
         report.rows_purged += int(r["purged"])
 
     if report.rows_purged == 0:
@@ -473,7 +471,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
         metrics={"purge_conv": conv_id, "rows_purged": report.rows_purged},
         # rebase-able vs concurrent ingest: only the files this purge
         # actually rewrote/dropped are swapped out on a rebase
-        consumed_paths={w["file"]["path"] for w in work},
+        consumed_paths={f["path"] for f in scanned},
     )
     report.final_version = man.version
     return report

@@ -9,9 +9,10 @@ Write path (merge-on-read, Hudi/Iceberg-style):
   commits all stats rows atomically via the manifest (state/manifest.py).
 
 Read path: the lake is already hash-partitioned by conv_id, so final-table
-resolution needs NO shuffle — one task per bucket reads that bucket's
-base+delta files, resolves LWW winners, drops tombstones. Parallelism =
-num_buckets.
+resolution needs NO shuffle — each bucket's base+delta files are read, LWW
+winners resolved, tombstones dropped, bucket by bucket. ``scan_buckets``
+packs the buckets into a few tasks sized to the cluster; a point lookup
+runs in the driver.
 
 Compaction folds a bucket's base+deltas into a single new base file
 (tombstones retained by default — required for correctness while future
@@ -391,21 +392,35 @@ def _read_resolve_file(
     """Read one lake file with projection + pushed filters (shared by the
     eager resolver and the streaming resolver's unsorted-delta run)."""
     path = os.path.join(lake_dir, f["path"])
-    kwargs = {}
+    # one open serves both the schema (for projection) and the read; the
+    # dataset reader is kept only where it pushes the conv_id range down
+    with pq.ParquetFile(path) as pf:
+        cols = None
+        if needed is not None:
+            present = set(pf.schema_arrow.names)
+            cols = [c for c in needed if c in present]
+        if conv_filter is None:
+            t = pf.read(columns=cols)
     if conv_filter is not None:
-        kwargs["filters"] = conv_filter
-    if needed is None:
-        t = pq.read_table(path, **kwargs)
-    else:
-        present = set(pq.read_schema(path).names)
-        t = pq.read_table(
-            path, columns=[c for c in needed if c in present], **kwargs
-        )
+        t = pq.read_table(path, columns=cols, filters=conv_filter)
     if as_of_lsn is not None and f.get("max_lsn", as_of_lsn) > as_of_lsn:
         t = t.filter(pc.less_equal(t["lsn"], as_of_lsn))
     if since_lsn is not None and f.get("min_lsn", since_lsn) <= since_lsn:
         t = t.filter(pc.greater(t["lsn"], since_lsn))
     return t
+
+
+def _read_files(read, files: list) -> list:
+    """``[read(f) for f in files]``, fanned over a thread pool no wider than
+    the CPUs this process may run on (Arrow's parquet decode releases the
+    GIL); sequential when that is one CPU, where threads only add start-up."""
+    n = min(8, len(os.sched_getaffinity(0)), len(files))
+    if n <= 1 or len(files) <= 2:
+        return [read(f) for f in files]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=n) as ex:
+        return list(ex.map(read, files))
 
 
 def resolve_bucket(
@@ -461,10 +476,9 @@ def resolve_bucket(
     file and null-filled by the schema unification below.
 
     Direct-mode ingest leaves MANY small delta files per bucket between
-    compactions; reads are fanned over a thread pool (Arrow's parquet decode
-    releases the GIL) so per-file open/decode latency overlaps instead of
-    serializing — ~3x faster final-table reads on a fresh (uncompacted)
-    lake."""
+    compactions; on a multi-CPU worker they are read over a thread pool
+    (``_read_files``) so per-file open/decode latency overlaps instead of
+    serializing."""
     files = _prune_resolve_files(files, as_of_lsn, since_lsn, conv_range)
     if not files:
         return EVENT_SCHEMA.empty_table()
@@ -475,18 +489,12 @@ def resolve_bucket(
 
     conv_filter = _conv_range_filter(conv_range)
 
-    def _read(f):
-        return _read_resolve_file(
+    tables = _read_files(
+        lambda f: _read_resolve_file(
             lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
-        )
-
-    if len(files) <= 2:
-        tables = [_read(f) for f in files]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(files))) as ex:
-            tables = list(ex.map(_read, files))
+        ),
+        files,
+    )
     # unify every file generation onto the union of their schemas (older
     # files null-fill columns added later, nested types included)
     from ..schema import unify_to_schema, union_event_schema
@@ -721,25 +729,12 @@ def iter_resolve_bucket(
     runs: list = []
     if unsorted:
         conv_filter = _conv_range_filter(conv_range)
-        if len(unsorted) <= 2:
-            tables = [
-                _read_resolve_file(
-                    lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
-                )
-                for f in unsorted
-            ]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(8, len(unsorted))) as ex:
-                tables = list(
-                    ex.map(
-                        lambda f: _read_resolve_file(
-                            lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
-                        ),
-                        unsorted,
-                    )
-                )
+        tables = _read_files(
+            lambda f: _read_resolve_file(
+                lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
+            ),
+            unsorted,
+        )
         mem = pa.concat_tables([unify_to_schema(t, target) for t in tables])
         mem = lww_winners(mem)
         if mem.num_rows:
@@ -790,6 +785,117 @@ def candidate_buckets(
     return sorted({int(b) for b in buckets})
 
 
+def _scan_blocks() -> int:
+    """How many blocks a bucket scan packs its buckets into: two per CPU
+    slot of the Ray cluster (of this process, before Ray starts)."""
+    import ray
+
+    if ray.is_initialized():
+        return 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return 2 * len(os.sched_getaffinity(0))
+
+
+def _work_bytes(lake_dir: str, work) -> int:
+    """On-disk bytes of the file records in one bucket's work item (a list
+    of records, or a tuple of such lists); files already gone count 0."""
+    records = [f for part in work for f in part] if isinstance(work, tuple) else work
+    total = 0
+    for f in records:
+        try:
+            total += os.path.getsize(os.path.join(lake_dir, f["path"]))
+        except OSError:
+            pass
+    return total
+
+
+def _pack_buckets(weights: dict, n_groups: int) -> list:
+    """Longest-first greedy packing: each bucket, heaviest first, joins the
+    currently lightest of ``n_groups`` groups."""
+    import heapq
+
+    heap = [(0, i) for i in range(n_groups)]
+    groups: list = [[] for _ in range(n_groups)]
+    for b in sorted(weights, key=lambda b: (-weights[b], b)):
+        load, i = heapq.heappop(heap)
+        groups[i].append(b)
+        heapq.heappush(heap, (load + weights[b], i))
+    return [sorted(g) for g in groups if g]
+
+
+def scan_buckets(
+    lake_dir: str,
+    work: dict,
+    fn,
+    empty: pa.Table,
+    in_driver: bool = False,
+    concurrency: int | None = None,
+    schema_known: bool = True,
+):
+    """Run a per-bucket pass over a lake as one Ray Dataset: the shared
+    fan-out of every bucket-parallel verb (final table, change feed, version
+    diff, purge). ``work`` maps each bucket to what its pass needs (its file
+    records); ``fn(bucket, work[bucket])`` yields the bucket's result tables;
+    ``empty`` is the zero-row result. ``schema_known`` says every table
+    ``fn`` yields has ``empty``'s schema: the Dataset is then told it up
+    front, so ``schema()`` and ``to_arrow_refs()`` need not run the plan a
+    second time just to find it.
+
+    The lake is hash-partitioned on conv_id, so no pass needs a shuffle.
+    Buckets are packed into at most 2 × the cluster's CPUs blocks
+    (``_scan_blocks``), balanced by file bytes, one task each; a block
+    carries only its own buckets' work, never the whole manifest. A plan
+    narrowed to one key's candidate buckets (``in_driver``) is smaller than
+    Ray Data's own planning and task launch: it runs ``fn`` in the driver
+    and returns ``ray.data.from_arrow``. Both paths run the same ``fn`` and
+    return the same rows; full scans never run in the driver."""
+    import ray.data
+
+    if not work:
+        return ray.data.from_arrow(empty)
+    if in_driver:
+        tables = [t for b in sorted(work) for t in fn(b, work[b]) if t.num_rows]
+        return ray.data.from_arrow(
+            pa.concat_tables(tables, promote_options="default") if tables else empty
+        )
+    import pickle
+
+    weights = {b: _work_bytes(lake_dir, w) for b, w in work.items()}
+    groups = _pack_buckets(weights, min(len(work), _scan_blocks()))
+    items = [{"work": pickle.dumps([(b, work[b]) for b in g])} for g in groups]
+
+    def scan(batch: pa.Table):
+        # generator UDF: a bucket's slabs stream through Ray's block
+        # pipeline instead of collecting in the task
+        emitted = False
+        for blob in batch["work"].to_pylist():
+            for b, w in pickle.loads(blob):
+                for t in fn(b, w):
+                    if t.num_rows:
+                        emitted = True
+                        yield t
+        if not emitted:
+            yield empty
+
+    ds = ray.data.from_items(items, override_num_blocks=len(items))
+    kwargs = {"concurrency": concurrency} if concurrency else {}
+    ds = ds.map_batches(scan, batch_format="pyarrow", batch_size=1, **kwargs)
+    if schema_known:
+        ds._plan.cache_schema(empty.schema)  # Ray Data has no public setter
+    return ds
+
+
+def _resolve_slabs(lake_dir: str, bucket: int, files: list, stream_min: int, **kw):
+    """One bucket's LWW winners: streamed as key-ordered slabs by the
+    bounded-memory k-way merge when its sorted files hold at least
+    ``stream_min`` rows (a full sync must not materialize a big bucket),
+    else resolved eagerly into one table. ``kw`` as ``resolve_bucket``."""
+    sorted_rows = sum(int(f.get("row_count") or 0) for f in files if f.get("sorted"))
+    if sorted_rows >= stream_min:
+        yield from iter_resolve_bucket(lake_dir, bucket, files, **kw)
+    else:
+        yield resolve_bucket(lake_dir, bucket, files, **kw)
+
+
 def read_final_table(
     lake_dir: str,
     concurrency: int | None = None,
@@ -808,9 +914,11 @@ def read_final_table(
     ``resolve_bucket``. The result schema is the key columns + the
     requested columns, in schema order.
 
-    Shuffle-free: one `map_batches` task per bucket (the data is already
-    hash-partitioned on conv_id); each task reads only its bucket's files.
-    The tiny driver-side input is just (bucket, files) descriptors.
+    Shuffle-free (the data is already hash-partitioned on conv_id): buckets
+    are resolved by ``scan_buckets``, packed into a few tasks of whole
+    buckets, each shipped only its own buckets' file records. A ``conv_id``
+    lookup touches only the key's candidate buckets and resolves in the
+    driver, skipping Ray Data's task launch.
 
     Predicate pushdown (the secondary-index analog, reference:
     mongodb_storage.py:94-134):
@@ -840,18 +948,15 @@ def read_final_table(
     see Manifest.cleanup_orphans); ``as_of_lsn`` reconstructs the state as
     of an LSN (exact at committed chunk watermarks — see
     ``resolve_bucket``). All options compose."""
-    import ray.data
-
     from ..state.manifest import Manifest
 
     man = Manifest.load(lake_dir) if version is None else Manifest.load_version(
         lake_dir, version
     )
+    buckets = range(man.num_buckets)
     if conv_id is not None:
         conv_range = (conv_id, conv_id)
-        allowed = set(candidate_buckets(conv_id, man.num_buckets, man.salt_factor))
-    else:
-        allowed = None
+        buckets = candidate_buckets(conv_id, man.num_buckets, man.salt_factor)
 
     # every bucket unifies onto the manifest's COMMITTED schema — a bucket
     # no evolving run touched still emits the evolved columns (null-filled),
@@ -911,23 +1016,16 @@ def read_final_table(
             files = []
         return files
 
-    files_by_bucket = {b: _pruned_files(b) for b in range(man.num_buckets)}
-    items = [
-        {"bucket": b, "lake_dir": lake_dir}
-        for b in range(man.num_buckets)
-        if files_by_bucket[b] and (allowed is None or b in allowed)
-    ]
-    fallback_schema = TRANSCRIPT_SCHEMA
-    if columns is not None:
-        keep = (set(KEY_COLS) | set(columns)) - {"lsn", "op"}
-        fallback_schema = pa.schema(
+    work = {b: _pruned_files(b) for b in buckets}
+    work = {b: files for b, files in work.items() if files}
+    if committed is not None:
+        empty = committed.empty_table()
+    else:
+        # older lakes without a recorded schema: the transcript columns
+        keep = set(KEY_COLS) | set(columns or TRANSCRIPT_SCHEMA.names)
+        empty = pa.schema(
             [f for f in TRANSCRIPT_SCHEMA if f.name in keep]
-        )
-    if not items:
-        return ray.data.from_arrow(
-            committed.empty_table() if committed is not None
-            else fallback_schema.empty_table()
-        )
+        ).empty_table()
 
     stream_min = stream_resolve_min_rows()
 
@@ -959,50 +1057,17 @@ def read_final_table(
             )
         return t
 
-    def resolve(batch: pa.Table):
-        # generator UDF: big buckets stream winner slabs through Ray's
-        # block pipeline instead of materializing the bucket in the task
-        emitted = False
-        for row in batch.to_pylist():
-            b = row["bucket"]
-            files = files_by_bucket[b]
-            sorted_rows = sum(
-                int(f.get("row_count") or 0) for f in files if f.get("sorted")
-            )
-            if sorted_rows >= stream_min:
-                for slab in iter_resolve_bucket(
-                    row["lake_dir"],
-                    b,
-                    files,
-                    as_of_lsn=as_of_lsn,
-                    conv_range=conv_range,
-                    columns=columns,
-                ):
-                    t = _post(slab)
-                    if t.num_rows:
-                        emitted = True
-                        yield t
-            else:
-                resolved = resolve_bucket(
-                    row["lake_dir"],
-                    b,
-                    files,
-                    as_of_lsn=as_of_lsn,
-                    conv_range=conv_range,
-                    columns=columns,
-                )
-                emitted = True
-                yield _post(resolved)
-        if not emitted:
-            yield (
-                committed.empty_table()
-                if committed is not None
-                else fallback_schema.empty_table()
-            )
+    def resolve(b: int, files: list):
+        for slab in _resolve_slabs(
+            lake_dir, b, files, stream_min,
+            as_of_lsn=as_of_lsn, conv_range=conv_range, columns=columns,
+        ):
+            yield _post(slab)
 
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    return ds.map_batches(resolve, batch_format="pyarrow", batch_size=1, **kwargs)
+    return scan_buckets(
+        lake_dir, work, resolve, empty, in_driver=conv_id is not None,
+        concurrency=concurrency, schema_known=committed is not None,
+    )
 
 
 def read_change_feed(
@@ -1017,10 +1082,10 @@ def read_change_feed(
     watermark), INCLUDING delete tombstones — full event rows (op/lsn kept)
     so a consumer can apply them to its own copy of the table.
 
-    Shuffle-free like the final-table read: one task per bucket; files are
-    pruned unread from manifest lsn ranges (a consumer polling "changes
-    since my last watermark" touches only the delta files committed since —
-    O(new data), not O(lake)).
+    Shuffle-free like the final-table read (``scan_buckets``: buckets
+    packed into a few tasks); files are pruned unread from manifest lsn
+    ranges (a consumer polling "changes since my last watermark" touches
+    only the delta files committed since — O(new data), not O(lake)).
 
     Semantics (tested invariant): for any S ≤ U on one manifest snapshot,
     LWW-applying feed(S, U] onto the as-of-S winners yields exactly the
@@ -1035,8 +1100,7 @@ def read_change_feed(
     (trials_extractor/storage/json_exporter.py); this is the Ray-native
     incremental replacement.
     """
-    import ray.data
-
+    from ..schema import unify_to_schema
     from ..state.manifest import Manifest
 
     man = (
@@ -1045,13 +1109,6 @@ def read_change_feed(
         else Manifest.load_version(lake_dir, version)
     )
 
-    def _pruned(b: int) -> list:
-        files = man.files_for_bucket(b)
-        files = [f for f in files if f.get("max_lsn", since_lsn + 1) > since_lsn]
-        if until_lsn is not None:
-            files = [f for f in files if f.get("min_lsn", 0) <= until_lsn]
-        return files
-
     # one uniform output schema across buckets (evolved columns null-fill)
     committed = None
     if man.schema_ipc:
@@ -1059,65 +1116,29 @@ def read_change_feed(
 
         committed = schema_from_b64(man.schema_ipc)
 
-    files_by_bucket = {b: _pruned(b) for b in range(man.num_buckets)}
-    items = [
-        {"bucket": b, "lake_dir": lake_dir}
-        for b in range(man.num_buckets)
-        if files_by_bucket[b]
-    ]
-    if not items:
-        return ray.data.from_arrow(
-            committed.empty_table() if committed is not None
-            else EVENT_SCHEMA.empty_table()
-        )
+    work = {}
+    for b in range(man.num_buckets):
+        files = [
+            f for f in man.files_for_bucket(b)
+            if f.get("max_lsn", since_lsn + 1) > since_lsn
+            and (until_lsn is None or f.get("min_lsn", 0) <= until_lsn)
+        ]
+        if files:
+            work[b] = files
 
     stream_min = stream_resolve_min_rows()
 
-    def feed(batch: pa.Table):
-        # generator UDF, same size gate as read_final_table: a FULL sync
-        # (replica bootstrap, rebucket — since_lsn=-1 touches every row)
-        # must not materialize a bucket per task; incremental polls prune
-        # to O(change) and stay on the eager path
-        emitted = False
-        for row in batch.to_pylist():
-            b = row["bucket"]
-            files = files_by_bucket[b]
-            sorted_rows = sum(
-                int(f.get("row_count") or 0) for f in files if f.get("sorted")
-            )
-            if sorted_rows >= stream_min:
-                for slab in iter_resolve_bucket(
-                    row["lake_dir"], b, files,
-                    as_of_lsn=until_lsn, since_lsn=since_lsn,
-                ):
-                    if committed is not None:
-                        from ..schema import unify_to_schema
+    def feed(b: int, files: list):
+        for slab in _resolve_slabs(
+            lake_dir, b, files, stream_min, as_of_lsn=until_lsn, since_lsn=since_lsn
+        ):
+            yield slab if committed is None else unify_to_schema(slab, committed)
 
-                        slab = unify_to_schema(slab, committed)
-                    if slab.num_rows:
-                        emitted = True
-                        yield slab
-            else:
-                t = resolve_bucket(
-                    row["lake_dir"], b, files,
-                    as_of_lsn=until_lsn, since_lsn=since_lsn,
-                )
-                if committed is not None:
-                    from ..schema import unify_to_schema
-
-                    t = unify_to_schema(t, committed)
-                emitted = True
-                yield t
-        if not emitted:
-            yield (
-                committed.empty_table()
-                if committed is not None
-                else EVENT_SCHEMA.empty_table()
-            )
-
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    return ds.map_batches(feed, batch_format="pyarrow", batch_size=1, **kwargs)
+    empty = (committed if committed is not None else EVENT_SCHEMA).empty_table()
+    return scan_buckets(
+        lake_dir, work, feed, empty,
+        concurrency=concurrency, schema_known=committed is not None,
+    )
 
 
 #: sentinel: streaming compaction could not run soundly (missing ts stats
@@ -1445,7 +1466,7 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
     compaction effects (none, by LWW — folded buckets fingerprint-skip),
     and physical erasure.
 
-    Scale shape: shuffle-free, one task per bucket, and buckets whose
+    Scale shape: shuffle-free (``scan_buckets``), and buckets whose
     committed file lists carry identical content-hash fingerprints are
     skipped WITHOUT any I/O — an audit of a small commit touches only the
     buckets that commit changed, O(change) not O(lake). Within a touched
@@ -1456,8 +1477,6 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
     (``Manifest.expire_versions`` keeps the window; a cleaned-up ``v_old``
     raises at file-read time rather than fabricating a diff).
     """
-    import ray.data
-
     from ..state.manifest import Manifest
 
     man_old = Manifest.load_version(lake_dir, v_old)
@@ -1477,13 +1496,11 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
         ids = sorted(f.get("content_hash") or f["path"] for f in files)
         return hashlib.sha1("\n".join(ids).encode()).hexdigest()
 
-    todo = []
+    work = {}
     for b in range(man_new.num_buckets):
         fo, fn = man_old.files_for_bucket(b), man_new.files_for_bucket(b)
         if _fp(fo) != _fp(fn):
-            todo.append({"bucket": b, "lake_dir": lake_dir})
-    files_old = {i["bucket"]: man_old.files_for_bucket(i["bucket"]) for i in todo}
-    files_new = {i["bucket"]: man_new.files_for_bucket(i["bucket"]) for i in todo}
+            work[b] = (fo, fn)
 
     from ..schema import schema_from_b64, unify_to_schema, union_event_schema
 
@@ -1495,9 +1512,6 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
     if out_schema is None:
         out_schema = EVENT_SCHEMA
     out_schema = union_event_schema([out_schema])  # floor in lsn/op
-
-    if not todo:
-        return ray.data.from_arrow(out_schema.empty_table())
 
     def _diff_tables(old: pa.Table, new: pa.Table) -> list:
         """Vectorized audit diff of aligned (same key range) winner sets:
@@ -1543,53 +1557,39 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
 
     stream_min = stream_resolve_min_rows()
 
-    def diff(batch: pa.Table):
-        # generator UDF: big buckets diff as aligned streaming slab pairs
-        # (each version resolved via the bounded-memory k-way merge), so a
-        # version audit never holds two full bucket copies per task
-        emitted = False
-        for row in batch.to_pylist():
-            b = row["bucket"]
-            big = max(
-                sum(
-                    int(f.get("row_count") or 0)
-                    for f in fl
-                    if f.get("sorted")
-                )
-                for fl in (files_old[b], files_new[b])
+    def diff(b: int, pair: tuple):
+        # big buckets diff as aligned streaming slab pairs (each version
+        # resolved via the bounded-memory k-way merge), so a version audit
+        # never holds two full bucket copies per task
+        files_old, files_new = pair
+        big = max(
+            sum(int(f.get("row_count") or 0) for f in fl if f.get("sorted"))
+            for fl in pair
+        )
+        if big >= stream_min:
+            pairs = _paired_key_slabs(
+                iter_resolve_bucket(lake_dir, b, files_old),
+                iter_resolve_bucket(lake_dir, b, files_new),
             )
-            if big >= stream_min:
-                pairs = _paired_key_slabs(
-                    iter_resolve_bucket(lake_dir, b, files_old[b]),
-                    iter_resolve_bucket(lake_dir, b, files_new[b]),
-                )
-                for slab_old, slab_new in pairs:
-                    old = unify_to_schema(
-                        slab_old if slab_old is not None
-                        else out_schema.empty_table(),
-                        out_schema,
-                    )
-                    new = unify_to_schema(
-                        slab_new if slab_new is not None
-                        else out_schema.empty_table(),
-                        out_schema,
-                    )
-                    for t in _diff_tables(old, new):
-                        if t.num_rows:
-                            emitted = True
-                            yield t
-            else:
+            for slab_old, slab_new in pairs:
                 old = unify_to_schema(
-                    resolve_bucket(lake_dir, b, files_old[b]), out_schema
+                    slab_old if slab_old is not None
+                    else out_schema.empty_table(),
+                    out_schema,
                 )
                 new = unify_to_schema(
-                    resolve_bucket(lake_dir, b, files_new[b]), out_schema
+                    slab_new if slab_new is not None
+                    else out_schema.empty_table(),
+                    out_schema,
                 )
-                for t in _diff_tables(old, new):
-                    emitted = True
-                    yield t
-        if not emitted:
-            yield out_schema.empty_table()
+                yield from _diff_tables(old, new)
+        else:
+            old = unify_to_schema(
+                resolve_bucket(lake_dir, b, files_old), out_schema
+            )
+            new = unify_to_schema(
+                resolve_bucket(lake_dir, b, files_new), out_schema
+            )
+            yield from _diff_tables(old, new)
 
-    ds = ray.data.from_items(todo, override_num_blocks=len(todo))
-    return ds.map_batches(diff, batch_format="pyarrow", batch_size=1)
+    return scan_buckets(lake_dir, work, diff, out_schema.empty_table())
