@@ -56,7 +56,6 @@ def main(argv=None) -> int:
     rp.add_argument("--disorder-bound", type=int, default=None,
                     help="producer out-of-order bound in LSN units; default: "
                          "the binlog's _meta.json published bound, else 0")
-    rp.add_argument("--merge-mode", choices=["direct", "shuffle"], default="direct")
     rp.add_argument("--hot-key-salt", default="1",
                     help="buckets per conversation for hot-key skew: an "
                          "integer, or 'auto' to derive from a bounded "
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
             kw = dict(
                 num_buckets=args.buckets,
                 files_per_chunk=args.files_per_chunk,
-                disorder_bound=args.disorder_bound, merge_mode=args.merge_mode,
+                disorder_bound=args.disorder_bound,
                 hot_key_salt=salt, producer=args.producer,
             )
             if args.follow:
@@ -729,28 +728,26 @@ def main(argv=None) -> int:
                 print(json.dumps(
                     {"conv_ids": t["conv_id"].to_pylist(), "mode": args.mode}
                 ))
+        elif args.cmd in ("lshidx", "seen") and args.action in ("compact", "rebucket"):
+            from .stages import lsh_index, seen_index
+
+            compact_index, rebucket_index = {
+                "lshidx": (lsh_index.compact_lsh_index, lsh_index.rebucket_lsh_index),
+                "seen": (seen_index.compact_seen_index, seen_index.rebucket_seen_index),
+            }[args.cmd]
+            if args.action == "compact":
+                print(json.dumps({"partitions_folded": compact_index(args.index_dir)}))
+            else:
+                if args.buckets is None:
+                    p.error(f"{args.cmd} rebucket requires --buckets")
+                v = rebucket_index(args.index_dir, args.buckets)
+                print(json.dumps({"new_num_buckets": args.buckets, "version": v}))
         elif args.cmd == "lshidx":
             import ray.data
 
-            from .stages.lsh_index import (
-                compact_lsh_index,
-                probe_lsh_index,
-                rebucket_lsh_index,
-                update_lsh_index,
-            )
+            from .stages.lsh_index import probe_lsh_index, update_lsh_index
 
-            if args.action == "compact":
-                print(json.dumps(
-                    {"partitions_folded": compact_lsh_index(args.index_dir)}
-                ))
-            elif args.action == "rebucket":
-                if args.buckets is None:
-                    p.error("lshidx rebucket requires --buckets")
-                v = rebucket_lsh_index(args.index_dir, args.buckets)
-                print(json.dumps(
-                    {"new_num_buckets": args.buckets, "version": v}
-                ))
-            elif args.input is None:
+            if args.input is None:
                 p.error(f"lshidx {args.action} requires an input path")
             elif args.action == "update":
                 ds = ray.data.read_parquet(args.input)
@@ -777,26 +774,8 @@ def main(argv=None) -> int:
         elif args.cmd == "seen":
             import ray.data
 
-            from .stages.seen_index import (
-                compact_seen_index,
-                filter_unseen,
-                rebucket_seen_index,
-                update_seen_index,
-            )
+            from .stages.seen_index import filter_unseen, update_seen_index
 
-            if args.action == "compact":
-                print(json.dumps(
-                    {"partitions_folded": compact_seen_index(args.index_dir)}
-                ))
-                return 0
-            if args.action == "rebucket":
-                if args.buckets is None:
-                    p.error("seen rebucket requires --buckets")
-                v = rebucket_seen_index(args.index_dir, args.buckets)
-                print(json.dumps(
-                    {"new_num_buckets": args.buckets, "version": v}
-                ))
-                return 0
             if args.input is None:
                 p.error(f"seen {args.action} requires an input path")
             ds = ray.data.read_parquet(args.input)

@@ -104,7 +104,7 @@ def bootstrap_lake(
     whose watermark filter skips everything at or below the cut."""
     import ray.data
 
-    from ..stages.merge import make_direct_delta_writer, prep_batch
+    from ..stages.merge import file_records, make_direct_delta_writer, prep_batch
 
     if Manifest.exists(lake_dir):
         raise ValueError(
@@ -180,24 +180,7 @@ def bootstrap_lake(
     writer = make_direct_delta_writer(lake_dir, man.watermarks())
     stats = ds.map_batches(writer, batch_format="pyarrow").take_all()
 
-    new_files = [
-        {
-            "bucket": int(r["bucket"]),
-            "path": r["path"],
-            "kind": r["kind"],
-            "content_hash": r["content_hash"],
-            "row_count": int(r["row_count"]),
-            "min_lsn": int(r["min_lsn"]),
-            "max_lsn": int(r["max_lsn"]),
-            "conv_min": r.get("conv_min"),
-            "conv_max": r.get("conv_max"),
-            "ts_us_min": int(r["ts_us_min"]) if r.get("ts_us_min") is not None else None,
-            "ts_us_max": int(r["ts_us_max"]) if r.get("ts_us_max") is not None else None,
-            "conv_bloom": r.get("conv_bloom"),
-        }
-        for r in stats
-        if r["kind"] != "noop"
-    ]
+    new_files = file_records(stats)
     report = BootstrapReport(
         rows_loaded=sum(f["row_count"] for f in new_files),
         files_written=len(new_files),

@@ -2,9 +2,10 @@
 
 Lifecycle per chunk (SURVEY §3.4):
   read_parquet(shards) → map_batches(prep: schema-unify + watermark filter +
-  bucket) → map_batches(in-batch LWW dedupe) → groupby("bucket") →
-  map_groups(write_bucket_delta) → driver collects the tiny per-bucket stats
-  table → Manifest.commit (atomic rename) → next chunk.
+  bucket) → map_batches(in-batch LWW dedupe) → map_batches(direct delta
+  writer: one winner delta per (task, bucket), no shuffle) → driver collects
+  the tiny per-(task, bucket) stats table → Manifest.commit (atomic rename)
+  → next chunk.
 
 Resume: shards whose max LSN ≤ the committed global watermark are skipped at
 the planning step (file-level pruning from parquet stats — no data read);
@@ -26,7 +27,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..stages.dedupe import dedupe_batch
-from ..stages.merge import compact_bucket, make_bucket_merge_fn, prep_batch
+from ..stages.merge import (
+    compact_bucket,
+    file_records,
+    make_direct_delta_writer,
+    prep_batch,
+)
 from ..state.manifest import Manifest
 
 # Serializes DRIVER-SIDE ray.data.read_parquet planning across concurrent
@@ -225,7 +231,6 @@ def replay(
     files_per_chunk: int = 16,
     batch_size: int | None = None,
     disorder_bound: int | None = None,
-    merge_mode: str = "direct",
     hot_key_salt: int | str = 1,
     producer: str | None = None,
 ) -> ReplayReport:
@@ -248,14 +253,9 @@ def replay(
     the binlog's ``_meta.json`` sidecar, falling back to 0 (a strictly
     LSN-ordered WAL). Pass explicitly to override.
 
-    merge_mode:
-      - "direct" (default): zero-shuffle ingest — every dedupe task writes
-        per-bucket winner deltas immediately (see
-        stages.merge.make_direct_delta_writer); fastest, more delta files,
-        rely on compaction cadence.
-      - "shuffle": one hash exchange consolidates each bucket's winners into
-        a single delta per chunk (groupby("bucket") — the only hot-path
-        shuffle).
+    Ingest is zero-shuffle: every dedupe task writes per-bucket winner
+    deltas immediately (stages.merge.make_direct_delta_writer); the delta
+    files this leaves behind are folded by ``compact``.
 
     hot_key_salt: spread each conversation's turns over this many buckets
     (deterministic per key; fixed at lake creation, persisted in the
@@ -268,8 +268,6 @@ def replay(
     the same committed state. Ray must already be initialized (or Ray Data
     will auto-init in standalone use); this function never calls ray.init."""
     import ray.data
-
-    from ..stages.merge import make_direct_delta_writer
 
     if isinstance(binlog, str):
         shard_paths = sorted(
@@ -401,36 +399,12 @@ def replay(
             },
         )
         ds = ds.map_batches(dedupe_batch, batch_format="pyarrow", batch_size=batch_size)
-        if merge_mode == "direct":
-            writer = make_direct_delta_writer(lake_dir, dict(own_wm))
-            stats_ds = ds.map_batches(writer, batch_format="pyarrow", batch_size=batch_size)
-        else:
-            merge_fn = make_bucket_merge_fn(lake_dir, dict(own_wm))
-            stats_ds = ds.groupby("bucket").map_groups(merge_fn, batch_format="pyarrow")
-        stats = stats_ds.take_all()  # tiny: ≤ one row per (task, bucket)
+        writer = make_direct_delta_writer(lake_dir, dict(own_wm))
+        stats = ds.map_batches(
+            writer, batch_format="pyarrow", batch_size=batch_size
+        ).take_all()  # tiny: ≤ one row per (task, bucket)
 
-        new_files = [
-            {
-                "bucket": int(r["bucket"]),
-                "path": r["path"],
-                "kind": r["kind"],
-                "content_hash": r["content_hash"],
-                "row_count": int(r["row_count"]),
-                "min_lsn": int(r["min_lsn"]),
-                "max_lsn": int(r["max_lsn"]),
-                "conv_min": r.get("conv_min"),
-                "conv_max": r.get("conv_max"),
-                # per-file event-time range (tombstones included — see
-                # merge._STATS_SCHEMA): recorded on DELTAS too, so the
-                # read path's sound ts prunes apply before any compaction
-                "ts_us_min": r.get("ts_us_min"),
-                "ts_us_max": r.get("ts_us_max"),
-                # point-lookup file prune (functions/bloom)
-                "conv_bloom": r.get("conv_bloom"),
-            }
-            for r in stats
-            if r["kind"] != "noop"  # stale-only writer output: metrics, no file
-        ]
+        new_files = file_records(stats)
         delta_rows = sum(f["row_count"] for f in new_files)
         rows_deduped = sum(int(r.get("rows_in") or 0) for r in stats)
         stale_skipped = sum(int(r.get("stale_skipped") or 0) for r in stats)
@@ -733,7 +707,7 @@ def sync_replica(
         schema_to_b64,
         union_event_schema,
     )
-    from ..stages.merge import make_direct_delta_writer, read_change_feed
+    from ..stages.merge import read_change_feed
 
     src = Manifest.load(src_lake)
     if cut == "stable":
@@ -798,24 +772,7 @@ def sync_replica(
         writer, batch_format="pyarrow", batch_size=batch_size
     ).take_all()  # tiny: ≤ one row per (task, bucket)
 
-    new_files = [
-        {
-            "bucket": int(r["bucket"]),
-            "path": r["path"],
-            "kind": r["kind"],
-            "content_hash": r["content_hash"],
-            "row_count": int(r["row_count"]),
-            "min_lsn": int(r["min_lsn"]),
-            "max_lsn": int(r["max_lsn"]),
-            "conv_min": r.get("conv_min"),
-            "conv_max": r.get("conv_max"),
-            "ts_us_min": r.get("ts_us_min"),
-            "ts_us_max": r.get("ts_us_max"),
-            "conv_bloom": r.get("conv_bloom"),
-        }
-        for r in stats
-        if r["kind"] != "noop"
-    ]
+    new_files = file_records(stats)
     delta_rows = sum(f["row_count"] for f in new_files)
     rows_deduped = sum(int(r.get("rows_in") or 0) for r in stats)
     stale_skipped = sum(int(r.get("stale_skipped") or 0) for r in stats)
@@ -851,8 +808,10 @@ def compact(
     min_files: int = 2,
 ) -> int:
     """Compact the lake; one manifest commit swaps all touched buckets'
-    file lists atomically. Returns buckets compacted. Runs as parallel Ray
-    tasks — compaction is partition-aligned (no shuffle).
+    file lists atomically (``lifecycle.fold_commit``: rebase-able against a
+    concurrent ingest, age-gated orphan sweep). Returns buckets compacted.
+    Buckets fold in a few cluster-sized tasks — compaction is
+    partition-aligned (no shuffle).
 
     mode="major" (default): fold every bucket's base+deltas into one fully
     resolved base file each — cost O(lake). The maintenance pass that makes
@@ -867,65 +826,30 @@ def compact(
     the accumulated base. Tombstones are always retained (folding them away
     without rewriting the base would resurrect deleted keys — enforced in
     stages.merge.compact_bucket)."""
-    import ray
+    from ..stages.lifecycle import fold_commit
 
     if mode not in ("major", "minor"):
         raise ValueError(f"mode must be 'major' or 'minor', got {mode!r}")
-    man = Manifest.load(lake_dir)
+    if mode == "minor" and tombstone_horizon_us is not None:
+        raise ValueError(
+            "tombstone_horizon_us requires mode='major' (minor "
+            "compaction never rewrites the base, so dropping "
+            "tombstones would resurrect deleted keys)"
+        )
+    major = mode == "major"
 
-    @ray.remote
-    def _do(bucket: int, files: list, out_kind: str):
-        return bucket, compact_bucket(
-            lake_dir,
-            bucket,
-            files,
-            tombstone_horizon_us if out_kind == "base" else None,
-            out_kind=out_kind,
+    def fold(bucket: int, files: list):
+        return compact_bucket(
+            lake_dir, bucket, files, tombstone_horizon_us,
+            out_kind="base" if major else "delta",
         )
 
-    refs = []
-    kept_by_bucket = {}
-    consumed: set = set()
-    for b in range(man.num_buckets):
-        files = man.files_for_bucket(b)
-        if not files:
-            continue
-        if mode == "major":
-            refs.append(_do.remote(b, files, "base"))
-            kept_by_bucket[b] = []
-            consumed.update(f["path"] for f in files)
-        else:
-            if tombstone_horizon_us is not None:
-                raise ValueError(
-                    "tombstone_horizon_us requires mode='major' (minor "
-                    "compaction never rewrites the base, so dropping "
-                    "tombstones would resurrect deleted keys)"
-                )
-            deltas = [f for f in files if f["kind"] == "delta"]
-            if len(deltas) < min_files:
-                continue
-            refs.append(_do.remote(b, deltas, "delta"))
-            kept_by_bucket[b] = [f for f in files if f["kind"] != "delta"]
-            consumed.update(f["path"] for f in deltas)
-    replace = {}
-    for bucket, info in ray.get(refs):
-        replace[bucket] = kept_by_bucket[bucket] + ([info] if info else [])
-    if not replace:
-        return 0
-    man2 = man.commit(
-        [],
-        new_watermark_lsn=man.global_watermark(),
-        replace_buckets=replace,
-        metrics={"compaction": True, "mode": mode},
-        # rebase-able vs a concurrent ingest commit: deltas landed since
-        # this compaction read its file list are preserved by the
-        # (current − consumed) + outputs merge in Manifest.commit
-        consumed_paths=consumed,
+    return fold_commit(
+        Manifest.load(lake_dir),
+        fold,
+        {"compaction": True, "mode": mode},
+        # major: each bucket's whole file list is one group
+        min_files=1 if major else min_files,
+        kinds=None if major else {"delta"},
+        split_kinds=not major,
     )
-    # age-gated: a concurrent replay's staged-but-uncommitted deltas are
-    # referenced by no snapshot yet — collecting them would let that
-    # replay's rebased commit publish references to deleted files
-    from ..state.manifest import ORPHAN_DATA_MIN_AGE_SEC
-
-    man2.cleanup_orphans(min_data_age_sec=ORPHAN_DATA_MIN_AGE_SEC)
-    return len(replace)

@@ -115,7 +115,7 @@ def _write_and_commit(
     should not pay for a Ray Data plan. ``target_schema``: pass when the
     write may carry evolved columns (it is recorded in the commit like
     replay does). Returns (rows_written, files_written, manifest_or_None)."""
-    from ..stages.merge import make_direct_delta_writer, prep_batch
+    from ..stages.merge import file_records, make_direct_delta_writer, prep_batch
 
     prep_kwargs = {
         "num_buckets": man.num_buckets,
@@ -135,25 +135,7 @@ def _write_and_commit(
             .take_all()
         )
 
-    # JSON-safe fileinfo rows (take_all yields numpy scalars)
-    new_files = [
-        {
-            "bucket": int(r["bucket"]),
-            "path": r["path"],
-            "kind": r["kind"],
-            "content_hash": r["content_hash"],
-            "row_count": int(r["row_count"]),
-            "min_lsn": int(r["min_lsn"]),
-            "max_lsn": int(r["max_lsn"]),
-            "conv_min": r.get("conv_min"),
-            "conv_max": r.get("conv_max"),
-            "ts_us_min": int(r["ts_us_min"]) if r.get("ts_us_min") is not None else None,
-            "ts_us_max": int(r["ts_us_max"]) if r.get("ts_us_max") is not None else None,
-            "conv_bloom": r.get("conv_bloom"),
-        }
-        for r in stats
-        if r["kind"] != "noop"
-    ]
+    new_files = file_records(stats)
     rows = sum(f["row_count"] for f in new_files)
     if not new_files:
         return 0, 0, None
@@ -507,7 +489,7 @@ def rebucket(
     through the SAME prep → in-batch-LWW → direct-delta-writer path as
     ingest at the new ``(num_buckets, salt_factor)``, and atomically publish
     a manifest version that swaps the whole layout
-    (``Manifest.commit_layout``). Equivalent by LWW associativity to a
+    (``lifecycle.layout_commit``). Equivalent by LWW associativity to a
     ``sync_replica`` rebuild into the new layout (pinned by
     tests/test_rebucket.py), but no second lake, no directory move, no
     window where readers see a half-migrated state: older manifest versions
@@ -528,7 +510,9 @@ def rebucket(
     row."""
     from ..schema import EVENT_SCHEMA, schema_from_b64, union_event_schema
     from ..stages.dedupe import dedupe_batch
+    from ..stages.lifecycle import layout_commit
     from ..stages.merge import (
+        file_records,
         make_direct_delta_writer,
         prep_batch,
         read_change_feed,
@@ -571,38 +555,19 @@ def rebucket(
         writer, batch_format="pyarrow", batch_size=batch_size
     ).take_all()
 
-    new_by_bucket: dict = {}
-    for r in stats:
-        if r["kind"] == "noop":
-            continue
-        info = {
-            "path": r["path"],
-            "kind": r["kind"],
-            "content_hash": r["content_hash"],
-            "row_count": int(r["row_count"]),
-            "min_lsn": int(r["min_lsn"]),
-            "max_lsn": int(r["max_lsn"]),
-            "conv_min": r.get("conv_min"),
-            "conv_max": r.get("conv_max"),
-            "ts_us_min": int(r["ts_us_min"]) if r.get("ts_us_min") is not None else None,
-            "ts_us_max": int(r["ts_us_max"]) if r.get("ts_us_max") is not None else None,
-            "conv_bloom": r.get("conv_bloom"),
-        }
-        new_by_bucket.setdefault(int(r["bucket"]), []).append(info)
-        report.rows_routed += info["row_count"]
-        report.files_written += 1
-
-    nxt = man.commit_layout(
+    new_files = file_records(stats)
+    report.rows_routed = sum(f["row_count"] for f in new_files)
+    report.files_written = len(new_files)
+    report.final_version = layout_commit(
+        man,
+        new_files,
         new_num_buckets,
         new_salt_factor,
-        new_by_bucket,
-        new_watermark_lsn=man.global_watermark(),
-        metrics={
+        {
             "rebucket": True,
             "old_num_buckets": man.num_buckets,
             "old_salt_factor": man.salt_factor,
             "rows_routed": report.rows_routed,
         },
-    )
-    report.final_version = nxt.version
+    ).version
     return report

@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .lifecycle import partition_width
+
 _MERSENNE = np.uint64((1 << 61) - 1)
 _HASH_KEY = "cdc-shingle-hash"  # 16 bytes, fixed => deterministic everywhere
 #: FLOOR for the coarse pair-emission shuffle (used directly only when the
@@ -47,12 +49,13 @@ def coarse_partitions(corpus_rows: int, rows_per_doc: int = 32) -> int:
     """Partition count for the LSH pair-emission shuffle, scaled with input:
     ``corpus_rows × rows_per_doc`` exploded rows land in
     ``groupby('part')`` pandas group-tasks of ~COARSE_PARTITION_ROW_BUDGET
-    rows each. Floors at N_COARSE_PARTITIONS (small corpora keep the r3
-    behavior — and their driver-oracle hashes), caps at
-    MAX_COARSE_PARTITIONS."""
-    exploded = max(0, int(corpus_rows)) * max(1, int(rows_per_doc))
-    n = -(-exploded // COARSE_PARTITION_ROW_BUDGET)  # ceil div
-    return max(N_COARSE_PARTITIONS, min(MAX_COARSE_PARTITIONS, n))
+    rows each (``lifecycle.partition_width``). Floors at
+    N_COARSE_PARTITIONS (small corpora keep the r3 behavior — and their
+    driver-oracle hashes), caps at MAX_COARSE_PARTITIONS."""
+    return partition_width(
+        max(0, int(corpus_rows)) * max(1, int(rows_per_doc)),
+        COARSE_PARTITION_ROW_BUDGET, N_COARSE_PARTITIONS, MAX_COARSE_PARTITIONS,
+    )
 
 
 def _word_ngrams(text: str, n: int) -> set:

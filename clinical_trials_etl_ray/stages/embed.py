@@ -637,10 +637,10 @@ def ivf_index_add(index_dir: str, embeddings, vec_col: str = "embedding") -> int
     return n
 
 
-#: target vectors per IVF list — the ANN sibling of the lake/seen/lsh
-#: partition budgets: a probe reads nprobe lists, so list size bounds its
-#: read amplification; ``resplit_ivf_index`` re-derives the codebook at a
-#: wider C when the corpus outgrows the creation-time one
+#: target vectors per IVF list: a probe reads nprobe lists, so list size
+#: bounds its read amplification; ``resplit_ivf_index`` re-derives the
+#: codebook at a wider C when the corpus outgrows the creation-time one
+#: (growth rule: stages/lifecycle.py)
 IVF_LIST_ROW_BUDGET = 1_000_000
 IVF_MAX_LISTS = 65_536
 
@@ -670,51 +670,48 @@ def ivf_list_rows(index_dir: str) -> dict:
 
 
 def _ivf_growth_advice(index_dir: str, fix: str | None = None):
-    """The IVF sibling of the seen/lsh growth monitors: when the fullest
-    list exceeds 2x the row budget, warn with the prescribed re-partition
-    fix and persist it as ``advice.json`` in the index dir (this store is
-    a plain directory, not manifest-versioned — the sidecar is its
-    metrics slot). Quiet updates remove stale advice. ``fix`` overrides
-    the prescription text (the PQ store rebuilds instead of re-splitting:
-    codes are lossy, so re-deriving a codebook needs the corpus).
-    Returns the advised list count or None."""
+    """The IVF store's growth monitor (``lifecycle.growth_advice``): when
+    the fullest list exceeds 2x the row budget, warn with the prescribed
+    re-partition fix and persist it as ``advice.json`` in the index dir
+    (this store is a plain directory, not manifest-versioned — the sidecar
+    is its metrics slot). Quiet updates remove stale advice. ``fix``
+    overrides the prescription text (the PQ store rebuilds instead of
+    re-splitting: codes are lossy, so re-deriving a codebook needs the
+    corpus). Returns the advised list count or None."""
     import json
     import os
 
-    rows = ivf_list_rows(index_dir)
+    import pyarrow.parquet as pq
+
+    from .lifecycle import growth_advice
+
+    n_lists = pq.ParquetFile(
+        os.path.join(index_dir, "centroids.parquet")
+    ).metadata.num_rows
+    max_rows, advised = growth_advice(
+        ivf_list_rows(index_dir),
+        n_lists,
+        IVF_LIST_ROW_BUDGET,
+        IVF_MAX_LISTS,
+        lambda fullest, advised: (
+            f"IVF index at {index_dir!r}: fullest list holds "
+            f"{fullest} vectors (> 2x the {IVF_LIST_ROW_BUDGET}-row "
+            f"budget) at {n_lists} lists; "
+            + (fix.format(advised=advised) if fix else
+               f"run resplit_ivf_index(index_dir, out_dir, {advised}) "
+               "and swap directories to re-partition")
+        ),
+        stacklevel=3,
+    )
     advice_path = os.path.join(index_dir, "advice.json")
-    max_rows = max(rows.values(), default=0)
-    advised = None
-    if max_rows > 2 * IVF_LIST_ROW_BUDGET:
-        import pyarrow.parquet as pq
-
-        n_lists = pq.ParquetFile(
-            os.path.join(index_dir, "centroids.parquet")
-        ).metadata.num_rows
-        want = min(
-            IVF_MAX_LISTS,
-            -(-sum(rows.values()) // IVF_LIST_ROW_BUDGET),  # ceil div
-        )
-        if want > n_lists:
-            advised = want
-            import warnings
-
-            warnings.warn(
-                f"IVF index at {index_dir!r}: fullest list holds "
-                f"{max_rows} vectors (> 2x the {IVF_LIST_ROW_BUDGET}-row "
-                f"budget) at {n_lists} lists; "
-                + (fix.format(advised=advised) if fix else
-                   f"run resplit_ivf_index(index_dir, out_dir, {advised}) "
-                   "and swap directories to re-partition"),
-                stacklevel=3,
+    if advised is not None:
+        with open(advice_path, "w") as f:
+            json.dump(
+                {"ivf_resplit_advice_n_lists": advised,
+                 "max_list_rows": int(max_rows)},
+                f,
             )
-            with open(advice_path, "w") as f:
-                json.dump(
-                    {"ivf_resplit_advice_n_lists": advised,
-                     "max_list_rows": int(max_rows)},
-                    f,
-                )
-    if advised is None and os.path.exists(advice_path):
+    elif os.path.exists(advice_path):
         os.remove(advice_path)
     return advised
 
@@ -726,11 +723,11 @@ def resplit_ivf_index(
     refine_iters: int = 0,
 ) -> str:
     """Re-split a materialized IVF index at a new list count from its OWN
-    stored vectors — the ANN sibling of the lake/seen/lsh ``rebucket``
-    verbs: when the indexed corpus outgrows the creation-time codebook
-    (each list is O(corpus/C) and clustered growth skews hot lists),
-    derive a fresh C'-wide codebook from a bounded sample of the INDEX's
-    data files (same strided-seed + spherical k-means as
+    stored vectors, as the lake/seen/lsh ``rebucket`` verbs do for theirs
+    (stages/lifecycle.py): when the indexed corpus outgrows the
+    creation-time codebook (each list is O(corpus/C) and clustered growth
+    skews hot lists), derive a fresh C'-wide codebook from a bounded
+    sample of the INDEX's data files (same strided-seed + spherical k-means as
     ``coarse_centroids``; optional distributed Lloyd refinement over the
     full index), then re-assign and rewrite hive-partitioned into
     ``out_dir``. The source corpus/lake is never re-read — the index's

@@ -51,9 +51,18 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..state.manifest import Manifest, bucket_dir
+from ..state.manifest import Manifest
 from .dedup_text import BandExploder, MinHasher
-from .merge import _write_immutable
+from .lifecycle import (
+    fold_commit,
+    grouped_records,
+    growth_advice,
+    open_store,
+    partition_rows,
+    partition_width,
+    reroute_commit,
+    store_file,
+)
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -69,12 +78,13 @@ LSH_MAX_BUCKETS = 65_536
 def lsh_index_width(n_docs: int, bands: int = 32) -> int:
     """Creation-time partition count for the posting/signature stores,
     scaled with the first increment: ``n_docs × bands`` posting rows land
-    in partitions of ~LSH_PARTITION_ROW_BUDGET rows each. Mirrors
-    ``dedup_text.coarse_partitions``; floors at LSH_MIN_BUCKETS, caps at
+    in partitions of ~LSH_PARTITION_ROW_BUDGET rows each
+    (``lifecycle.partition_width``); floors at LSH_MIN_BUCKETS, caps at
     LSH_MAX_BUCKETS."""
-    exploded = max(0, int(n_docs)) * max(1, int(bands))
-    n = -(-exploded // LSH_PARTITION_ROW_BUDGET)  # ceil div
-    return max(LSH_MIN_BUCKETS, min(LSH_MAX_BUCKETS, n))
+    return partition_width(
+        max(0, int(n_docs)) * max(1, int(bands)),
+        LSH_PARTITION_ROW_BUDGET, LSH_MIN_BUCKETS, LSH_MAX_BUCKETS,
+    )
 
 
 @dataclass
@@ -101,9 +111,8 @@ def _ipc_hash(table: pa.Table) -> str:
     """Content hash of a table via its Arrow IPC stream bytes — the same
     scheme as merge._compact_bucket_streaming. Deterministic for equal
     content (``combine_chunks`` canonicalizes the batch layout first) and
-    zero-copy-ish: no pandas conversion, no text rendering. The previous
-    ``to_pandas().to_csv()`` rendering was fragile for list columns (numpy
-    repr truncates beyond the print threshold → collision-prone names)."""
+    zero-copy-ish: no pandas conversion, no text rendering (a numpy repr
+    of a list column truncates, so rendered names would collide)."""
     t = table.combine_chunks()
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
@@ -114,19 +123,31 @@ def _ipc_hash(table: pa.Table) -> str:
 def _table_info(
     index_dir: str, bucket: int, kind: str, table: pa.Table
 ) -> dict:
-    h = _ipc_hash(table)
-    path = _write_immutable(
-        table, bucket_dir(index_dir, bucket), f"{kind}-{h}.parquet"
+    return store_file(index_dir, bucket, kind, table, _ipc_hash(table))
+
+
+def _postings_table(df: pd.DataFrame) -> pa.Table:
+    """Posting rows sorted on (band_id, band_hash, doc_id): deterministic
+    content for an idempotent content-hash name, and row-group stats that
+    let ``_read_postings`` prune probes."""
+    t = df[["band_id", "band_hash", "doc_id"]].sort_values(
+        ["band_id", "band_hash", "doc_id"], kind="mergesort"
     )
-    return {
-        "bucket": int(bucket),
-        "path": os.path.relpath(path, index_dir),
-        "kind": kind,
-        "content_hash": h,
-        "row_count": table.num_rows,
-        "min_lsn": -1,
-        "max_lsn": -1,
-    }
+    return pa.Table.from_pandas(t, preserve_index=False)
+
+
+def _sig_table(df: pd.DataFrame) -> pa.Table:
+    """Signature rows (doc_id, minhash_sig list<int64>) sorted on doc_id."""
+    t = df.sort_values("doc_id", kind="mergesort")
+    return pa.table(
+        {
+            "doc_id": pa.array(t["doc_id"].to_numpy(np.int64)),
+            "minhash_sig": pa.array(
+                [np.asarray(s, dtype=np.int64) for s in t["minhash_sig"]],
+                pa.list_(pa.int64()),
+            ),
+        }
+    )
 
 
 def update_lsh_index(
@@ -143,30 +164,19 @@ def update_lsh_index(
 
     ``num_buckets`` matters only at CREATION: ``None`` (default) derives
     the partition count from the first increment's size
-    (``lsh_index_width`` — the input-scaled sibling of
-    dedup_text.coarse_partitions). On an existing index the manifest's
-    committed layout is authoritative (an explicit mismatching value
-    raises); grow an outgrown layout in place with
-    ``rebucket_lsh_index``."""
+    (``lsh_index_width``). On an existing index the manifest's committed
+    layout is authoritative (an explicit mismatching value raises); grow
+    an outgrown layout in place with ``rebucket_lsh_index``
+    (``lifecycle.open_store``)."""
     sigs = ds.map_batches(
         MinHasher, batch_format="pandas", concurrency=(1, 8), batch_size=1024
     ).materialize()  # increment-sized; feeds both exchanges
     n_docs = sigs.count()
 
-    if Manifest.exists(index_dir):
-        man = Manifest.load(index_dir)
-        if num_buckets is not None and num_buckets != man.num_buckets:
-            raise ValueError(
-                f"index at {index_dir!r} has num_buckets="
-                f"{man.num_buckets}, requested {num_buckets} — use "
-                "rebucket_lsh_index to change the layout in place"
-            )
-    else:
-        man = Manifest.create(
-            index_dir,
-            num_buckets if num_buckets is not None
-            else lsh_index_width(n_docs, bands),
-        )
+    man = open_store(
+        index_dir, num_buckets, lambda: lsh_index_width(n_docs, bands),
+        "rebucket_lsh_index",
+    )
     num_buckets = man.num_buckets
     if man.metrics.get("lsh_bands") is not None and _params(man) != (bands, rows):
         raise ValueError(
@@ -183,24 +193,13 @@ def update_lsh_index(
                                "n_parts": num_buckets},
     )
 
-    def write_postings(g: pd.DataFrame) -> pd.DataFrame:
-        part = int(g["part"].iat[0])
-        t = (
-            g[["band_id", "band_hash", "doc_id"]]
-            .sort_values(["band_id", "band_hash", "doc_id"], kind="mergesort")
-            .reset_index(drop=True)
-        )  # deterministic content → idempotent content-hash name
-        info = _table_info(
-            index_dir, part, "lshp", pa.Table.from_pandas(t, preserve_index=False)
-        )
-        return pd.DataFrame({"info": pd.Series([info], dtype=object)})
-
-    post_infos = [
-        r["info"]
-        for r in band_rows.groupby("part")
-        .map_groups(write_postings, batch_format="pandas")
-        .take_all()  # tiny: one fileinfo per touched posting partition
-    ]
+    post_infos = grouped_records(
+        band_rows,
+        "part",
+        lambda g: _table_info(
+            index_dir, int(g["part"].iat[0]), "lshp", _postings_table(g)
+        ),
+    )
 
     def stamp_sig_bucket(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(
@@ -209,99 +208,49 @@ def update_lsh_index(
             )
         )
 
-    def write_sigs(g: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(g["sig_bucket"].iat[0])
-        t = (
-            g[["doc_id", "minhash_sig"]]
-            .sort_values("doc_id", kind="mergesort")
-            .reset_index(drop=True)
-        )
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(t["doc_id"].to_numpy(np.int64)),
-                "minhash_sig": pa.array(
-                    [np.asarray(s, dtype=np.int64) for s in t["minhash_sig"]],
-                    pa.list_(pa.int64()),
-                ),
-            }
-        )
-        info = _table_info(index_dir, bucket, "lsig", tbl)
-        return pd.DataFrame({"info": pd.Series([info], dtype=object)})
-
-    sig_infos = [
-        r["info"]
-        for r in sigs.map_batches(stamp_sig_bucket, batch_format="pandas")
-        .groupby("sig_bucket")
-        .map_groups(write_sigs, batch_format="pandas")
-        .take_all()
-    ]
+    sig_infos = grouped_records(
+        sigs.map_batches(stamp_sig_bucket, batch_format="pandas"),
+        "sig_bucket",
+        lambda g: _table_info(
+            index_dir, int(g["sig_bucket"].iat[0]), "lsig", _sig_table(g)
+        ),
+    )
 
     infos = post_infos + sig_infos
 
-    # Growth advisory — the lshidx sibling of the lake's hot-key monitor:
-    # committed posting rows per partition (manifest file metadata only,
-    # no data read), including this increment. When the fullest partition
-    # exceeds 2x the creation budget, warn with the prescribed fix
-    # (rebucket_lsh_index at the advised width) and record the advice in
-    # the commit metrics so `follow`-style automation can act on it.
-    post_rows: dict = {}
-    for b in range(num_buckets):
-        for f in man.files_for_bucket(b):
-            if f["kind"] == "lshp":
-                post_rows[b] = post_rows.get(b, 0) + int(f["row_count"])
-    for i in post_infos:
-        post_rows[i["bucket"]] = (
-            post_rows.get(i["bucket"], 0) + int(i["row_count"])
-        )
-    max_part_rows = max(post_rows.values(), default=0)
-    total_post_rows = sum(post_rows.values())
-    advice_width = None
-    if max_part_rows > 2 * LSH_PARTITION_ROW_BUDGET:
-        advice_width = max(
-            num_buckets,
-            min(
-                LSH_MAX_BUCKETS,
-                -(-total_post_rows // LSH_PARTITION_ROW_BUDGET),
-            ),
-        )
-        if advice_width > num_buckets:
-            import warnings
-
-            warnings.warn(
-                f"LSH index at {index_dir!r}: fullest posting partition "
-                f"holds {max_part_rows} rows (> 2x the "
-                f"{LSH_PARTITION_ROW_BUDGET}-row budget) at "
-                f"num_buckets={num_buckets}; run "
-                f"rebucket_lsh_index(index_dir, {advice_width}) to "
-                "re-partition in place",
-                stacklevel=2,
-            )
-        else:
-            advice_width = None  # already at the cap / width sufficient
-
-    report = LshIndexReport(version=man.version)
-    if infos:
-        metrics = {
-            "lsh_index": True,
-            "lsh_bands": bands,
-            "lsh_rows": rows,
-            "docs_indexed": int(n_docs),
-            "lsh_partition_max_rows": int(max_part_rows),
-        }
-        if advice_width is not None:
-            metrics["lsh_rebucket_advice_width"] = int(advice_width)
-        man = man.commit(
-            infos,
-            new_watermark_lsn=man.global_watermark(),
-            metrics=metrics,
-        )
-        report = LshIndexReport(
-            buckets_touched=len({i["bucket"] for i in infos}),
-            docs_indexed=int(n_docs),
-            postings_added=int(sum(i["row_count"] for i in post_infos)),
-            version=man.version,
-        )
-    return report
+    # growth advisory from manifest file metadata (posting rows), this
+    # increment included; the advice is recorded in the commit metrics so
+    # `follow`-style automation can act on it
+    max_part_rows, advice_width = growth_advice(
+        partition_rows(man, post_infos, kind="lshp"),
+        num_buckets,
+        LSH_PARTITION_ROW_BUDGET,
+        LSH_MAX_BUCKETS,
+        lambda fullest, advised: (
+            f"LSH index at {index_dir!r}: fullest posting partition holds "
+            f"{fullest} rows (> 2x the {LSH_PARTITION_ROW_BUDGET}-row budget) "
+            f"at num_buckets={num_buckets}; run "
+            f"rebucket_lsh_index(index_dir, {advised}) to re-partition in place"
+        ),
+    )
+    if not infos:
+        return LshIndexReport(version=man.version)
+    metrics = {
+        "lsh_index": True,
+        "lsh_bands": bands,
+        "lsh_rows": rows,
+        "docs_indexed": int(n_docs),
+        "lsh_partition_max_rows": max_part_rows,
+    }
+    if advice_width is not None:
+        metrics["lsh_rebucket_advice_width"] = advice_width
+    man = man.commit(infos, new_watermark_lsn=man.global_watermark(), metrics=metrics)
+    return LshIndexReport(
+        buckets_touched=len({i["bucket"] for i in infos}),
+        docs_indexed=int(n_docs),
+        postings_added=sum(i["row_count"] for i in post_infos),
+        version=man.version,
+    )
 
 
 def _read_postings(
@@ -482,103 +431,49 @@ def probe_lsh_index(index_dir: str, ds, est_threshold: float = 0.7):
     )
 
 
+def _fold_partition(index_dir: str, bucket: int, files: list) -> dict:
+    """Concat + dedupe (identical rows exist if an increment was
+    re-delivered) + sort of one partition's files of one kind."""
+    kind = files[0]["kind"]
+    df = pd.concat(
+        [pq.read_table(os.path.join(index_dir, f["path"])).to_pandas() for f in files],
+        ignore_index=True,
+    )
+    tbl = (
+        _postings_table(df.drop_duplicates()) if kind == "lshp"
+        else _sig_table(df.drop_duplicates("doc_id"))
+    )
+    return _table_info(index_dir, bucket, kind, tbl)
+
+
 def compact_lsh_index(index_dir: str, min_files: int = 2) -> int:
     """Fold each partition's accumulated increment files into one
     (postings and signatures separately, per bucket) — the steady-state
     maintenance pass: every ``update_lsh_index`` writes one file per
     touched partition, so probe fan-in grows with increment count until
     folded. Sound because both stores are append-only row sets — folding
-    is concat + dedupe (identical rows may exist if an increment was
-    re-delivered) + sort, committed with ``consumed_paths`` so a fold
-    racing a concurrent update rebases cleanly and keeps the newer files.
-    Returns the number of (bucket, kind) partitions folded."""
-    import ray
-
+    is concat + dedupe + sort, committed by ``lifecycle.fold_commit`` so a
+    fold racing a concurrent update rebases cleanly and keeps the newer
+    files. Returns the number of (bucket, kind) partitions folded."""
     man = Manifest.load(index_dir)
-
-    @ray.remote
-    def _fold(bucket: int, kind: str, files: list):
-        frames = [
-            pq.read_table(os.path.join(index_dir, f["path"])).to_pandas()
-            for f in files
-        ]
-        df = pd.concat(frames, ignore_index=True)
-        if kind == "lshp":
-            df = (
-                df.drop_duplicates()
-                .sort_values(
-                    ["band_id", "band_hash", "doc_id"], kind="mergesort"
-                )
-                .reset_index(drop=True)
-            )
-            tbl = pa.Table.from_pandas(df, preserve_index=False)
-        else:
-            df = (
-                df.drop_duplicates("doc_id")
-                .sort_values("doc_id", kind="mergesort")
-                .reset_index(drop=True)
-            )
-            tbl = pa.table(
-                {
-                    "doc_id": pa.array(df["doc_id"].to_numpy(np.int64)),
-                    "minhash_sig": pa.array(
-                        [np.asarray(s, dtype=np.int64) for s in df["minhash_sig"]],
-                        pa.list_(pa.int64()),
-                    ),
-                }
-            )
-        return bucket, kind, _table_info(index_dir, bucket, kind, tbl)
-
-    refs, kept, consumed = [], {}, set()
-    for b in range(man.num_buckets):
-        files = man.files_for_bucket(b)
-        by_kind: dict = {}
-        for f in files:
-            by_kind.setdefault(f["kind"], []).append(f)
-        kept[b] = []
-        for kind, fl in by_kind.items():
-            if len(fl) >= min_files:
-                refs.append(_fold.remote(b, kind, fl))
-                consumed.update(f["path"] for f in fl)
-            else:
-                kept[b].extend(fl)
-    if not refs:
-        return 0
-    folded: dict = {}
-    for bucket, _kind, info in ray.get(refs):
-        folded.setdefault(bucket, []).append(
-            {k: v for k, v in info.items() if k != "bucket"}
-        )
-    replace = {
-        b: kept[b] + folded.get(b, []) for b in set(kept) | set(folded)
-        if kept[b] or folded.get(b)
-    }
-    man2 = man.commit(
-        [],
-        new_watermark_lsn=man.global_watermark(),
-        replace_buckets=replace,
-        consumed_paths=consumed,
-        metrics={**man.metrics, "lsh_compaction": True},
+    return fold_commit(
+        man,
+        lambda b, files: _fold_partition(index_dir, b, files),
+        {**man.metrics, "lsh_compaction": True},
+        min_files=min_files,
     )
-    # age-gated for the same reason as pipelines.replay.compact: a
-    # concurrent update_lsh_index's staged partition files must survive
-    # until their commit lands (it will rebase onto this fold)
-    from ..state.manifest import ORPHAN_DATA_MIN_AGE_SEC
-
-    man2.cleanup_orphans(min_data_age_sec=ORPHAN_DATA_MIN_AGE_SEC)
-    return len(refs)
 
 
 def rebucket_lsh_index(index_dir: str, new_num_buckets: int) -> int:
-    """In-place re-partitioning of the index — the lshidx sibling of the
-    lake's ``rebucket`` verb (pipelines/retention.py): when the indexed
+    """In-place re-partitioning of the index, as ``rebucket`` does for the
+    lake (pipelines/retention.py): when the indexed
     history outgrows the creation-time partition count (each posting
     partition is O(history/num_buckets)), read postings and signatures
     once, re-route them at the new width through the SAME deterministic
     hash rules every probe uses (postings: band_hash % N as uint64 —
     exactly BandExploder's ``part``; signatures: mix(doc_id) % N), and
     atomically publish a manifest version that swaps the whole layout
-    (``Manifest.commit_layout``). Identical rows from re-delivered
+    (``lifecycle.reroute_commit``). Identical rows from re-delivered
     increments fold away (same dedupe as ``compact_lsh_index``), so the
     result is also a full compaction. Probe results are unchanged (pinned
     ≡ a from-scratch rebuild by tests/test_lsh_index.py); older versions
@@ -588,111 +483,38 @@ def rebucket_lsh_index(index_dir: str, new_num_buckets: int) -> int:
     Cost: O(index) read+write once — the index is signatures+postings
     (~1 KB/doc), 2-3 orders of magnitude smaller than the corpus, so this
     is cheap relative to any re-shingling alternative."""
-    import ray.data
+    def stamp_post(df: pd.DataFrame) -> pd.DataFrame:
+        # band_hash is stored as the int64 cast of BandExploder's uint64
+        # hash; the partition rule is uint64 modulo — re-widen before the
+        # mod or negative hashes would route differently
+        h = df["band_hash"].to_numpy(np.int64).astype(np.uint64)
+        return df.assign(part=(h % np.uint64(new_num_buckets)).astype(np.int64))
 
-    man = Manifest.load(index_dir)
-    if new_num_buckets == man.num_buckets:
-        return man.version
-    post_files, sig_files = [], []
-    for b in range(man.num_buckets):
-        for f in man.files_for_bucket(b):
-            dst = post_files if f["kind"] == "lshp" else sig_files
-            dst.append(os.path.join(index_dir, f["path"]))
+    def write_post(g: pd.DataFrame) -> dict:
+        t = _postings_table(g[["band_id", "band_hash", "doc_id"]].drop_duplicates())
+        return _table_info(index_dir, int(g["part"].iat[0]), "lshp", t)
 
-    infos: list = []
-    if post_files:
-        def stamp_post(df: pd.DataFrame) -> pd.DataFrame:
-            # band_hash is stored as the int64 cast of BandExploder's
-            # uint64 hash; the partition rule is uint64 modulo — re-widen
-            # before the mod or negative hashes would route differently
-            h = df["band_hash"].to_numpy(np.int64).astype(np.uint64)
-            return df.assign(
-                part=(h % np.uint64(new_num_buckets)).astype(np.int64)
-            )
-
-        def write_post(g: pd.DataFrame) -> pd.DataFrame:
-            part = int(g["part"].iat[0])
-            t = (
-                g[["band_id", "band_hash", "doc_id"]]
-                .drop_duplicates()
-                .sort_values(
-                    ["band_id", "band_hash", "doc_id"], kind="mergesort"
-                )
-                .reset_index(drop=True)
-            )
-            info = _table_info(
-                index_dir, part, "lshp",
-                pa.Table.from_pandas(t, preserve_index=False),
-            )
-            return pd.DataFrame({"info": pd.Series([info], dtype=object)})
-
-        infos += [
-            r["info"]
-            for r in ray.data.read_parquet(post_files)
-            .map_batches(stamp_post, batch_format="pandas")
-            .groupby("part")
-            .map_groups(write_post, batch_format="pandas")
-            .take_all()  # tiny: one fileinfo per new posting partition
-        ]
-    if sig_files:
-        def stamp_sig(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(
-                sig_bucket=_doc_sig_bucket(
-                    df["doc_id"].to_numpy(np.int64), new_num_buckets
-                )
-            )
-
-        def write_sig(g: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(g["sig_bucket"].iat[0])
-            t = (
-                g.drop_duplicates("doc_id")
-                .sort_values("doc_id", kind="mergesort")
-                .reset_index(drop=True)
-            )
-            tbl = pa.table(
-                {
-                    "doc_id": pa.array(t["doc_id"].to_numpy(np.int64)),
-                    "minhash_sig": pa.array(
-                        [np.asarray(s, dtype=np.int64) for s in t["minhash_sig"]],
-                        pa.list_(pa.int64()),
-                    ),
-                }
-            )
-            info = _table_info(index_dir, bucket, "lsig", tbl)
-            return pd.DataFrame({"info": pd.Series([info], dtype=object)})
-
-        infos += [
-            r["info"]
-            for r in ray.data.read_parquet(sig_files)
-            .map_batches(stamp_sig, batch_format="pandas")
-            .groupby("sig_bucket")
-            .map_groups(write_sig, batch_format="pandas")
-            .take_all()
-        ]
-
-    bucket_files: dict = {}
-    for i in infos:
-        bucket_files.setdefault(int(i["bucket"]), []).append(
-            {k: v for k, v in i.items() if k != "bucket"}
+    def stamp_sig(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(
+            sig_bucket=_doc_sig_bucket(df["doc_id"].to_numpy(np.int64), new_num_buckets)
         )
-    # carry parameters forward but drop the growth advice the rebucket
-    # just acted on (the next update recomputes it at the new layout)
-    carried = {
-        k: v for k, v in man.metrics.items()
-        if k not in ("lsh_rebucket_advice_width", "lsh_partition_max_rows")
-    }
-    nxt = man.commit_layout(
+
+    def write_sig(g: pd.DataFrame) -> dict:
+        t = _sig_table(g.drop_duplicates("doc_id"))
+        return _table_info(index_dir, int(g["sig_bucket"].iat[0]), "lsig", t)
+
+    # parameters carry forward; the growth advice the rebucket just acted
+    # on is dropped (the next update recomputes it at the new layout)
+    return reroute_commit(
+        index_dir,
         new_num_buckets,
-        man.salt_factor,
-        bucket_files,
-        new_watermark_lsn=man.global_watermark(),
-        metrics={
-            **carried,
-            "lsh_rebucket": True,
-            "old_num_buckets": man.num_buckets,
+        {
+            "lshp": (stamp_post, "part", write_post),
+            "lsig": (stamp_sig, "sig_bucket", write_sig),
         },
+        {"lsh_rebucket": True},
+        carry_except=("lsh_rebucket_advice_width", "lsh_partition_max_rows"),
     )
-    return nxt.version
 
 
 def filter_near_novel(index_dir: str, ds, est_threshold: float = 0.7):

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.manifest import Manifest, bucket_dir
-from .merge import _write_immutable, live_rows, resolve_bucket
+from ..state.manifest import Manifest
+from .lifecycle import refresh_consumer, store_file
+from .merge import live_rows, resolve_bucket
 
 MV_SCHEMA = pa.schema(
     [
@@ -261,42 +262,6 @@ def merge_partials(partials: pa.Table) -> pa.Table:
     return view_merge(partials, DEFAULT_SPEC).cast(MV_SCHEMA)
 
 
-def _sync_consumer_manifest(consumer_dir: str, lake_man) -> tuple:
-    """(manifest, layout_changed) for a lake CONSUMER (matview / text
-    index) whose per-bucket state mirrors the lake's bucket layout. A
-    fresh consumer is created on the lake's current layout. If the lake
-    was rebucketed since the consumer last refreshed (pipelines/retention
-    ``rebucket``), every stored per-bucket artifact is keyed by an OLD
-    lake bucket — the caller must force a full rebuild and publish it via
-    ``Manifest.commit_layout`` to adopt the new layout atomically (older
-    consumer versions keep the old layout for time travel, like the lake
-    itself)."""
-    if not Manifest.exists(consumer_dir):
-        return (
-            Manifest.create(
-                consumer_dir, lake_man.num_buckets,
-                salt_factor=lake_man.salt_factor,
-            ),
-            False,
-        )
-    man = Manifest.load(consumer_dir)
-    changed = (
-        man.num_buckets != lake_man.num_buckets
-        or man.salt_factor != lake_man.salt_factor
-    )
-    return man, changed
-
-
-def _files_fingerprint(files: list) -> str:
-    """Order-insensitive digest of a bucket's committed file list. Content
-    hashes name the immutable files, so equal fingerprints ⇒ byte-identical
-    inputs ⇒ identical resolved state."""
-    import hashlib
-
-    ids = sorted(f.get("content_hash") or f["path"] for f in files)
-    return hashlib.sha1("\n".join(ids).encode()).hexdigest()
-
-
 def refresh_matview(
     lake_dir: str,
     mv_dir: str,
@@ -313,11 +278,12 @@ def refresh_matview(
     everything forever under a conservative ``disorder_bound`` tail
     watermark, since committed files legitimately carry LSNs above it).
     Compaction changes the file list without changing state and so triggers
-    a harmless one-time re-refresh of the folded buckets. Recomputation is
-    one Ray task per touched bucket — resolve LWW winners, drop tombstones,
-    Arrow groupby — with NO shuffle; the driver then publishes one atomic
-    ``Manifest`` commit swapping exactly the touched buckets' view files
-    (crash-safe/exactly-once like the lake: losers of a concurrent race get
+    a harmless one-time re-refresh of the folded buckets. Each touched
+    bucket resolves its LWW winners, drops tombstones and runs an Arrow
+    groupby — with NO shuffle, packed into a few tasks; the driver then
+    publishes one atomic ``Manifest`` commit swapping exactly the touched
+    buckets' view files (``lifecycle.refresh_consumer``; crash-safe and
+    exactly-once like the lake: losers of a concurrent race get
     ``ConcurrentWriterError``, retries rewrite identical content hashes).
 
     ``full=True`` forces a complete rebuild (used to seed a new view — and
@@ -328,16 +294,11 @@ def refresh_matview(
     refreshes (and reads) agree without restating it, and a conflicting
     explicit spec fails loudly rather than silently recomputing a different
     view into the same directory."""
-    import ray
-
     lake_man = Manifest.load(lake_dir)
-    mv_man, layout_changed = _sync_consumer_manifest(mv_dir, lake_man)
-    if layout_changed:
-        # the lake was REBUCKETED since this view last refreshed: every
-        # stored partial is keyed by an old lake bucket — force a full
-        # rebuild and adopt the new layout atomically (commit_layout below)
-        full = True
-    stored = mv_man.metrics.get("view_spec")
+    stored = (
+        Manifest.load(mv_dir).metrics.get("view_spec")
+        if Manifest.exists(mv_dir) else None
+    )
     if spec is None:
         spec = ViewSpec.from_json(stored) if stored else DEFAULT_SPEC
     elif stored is not None and spec.to_json() != stored:
@@ -361,22 +322,6 @@ def refresh_matview(
                 f"view spec references column(s) {missing} not in the lake "
                 f"schema {sorted(known)}"
             )
-    report = MatviewRefreshReport(
-        buckets_total=lake_man.num_buckets,
-        mv_version=mv_man.version,
-        as_of_watermark=mv_man.global_watermark(),
-    )
-
-    prior_fps = mv_man.metrics.get("bucket_fps", {})
-    todo = []
-    fps = {}
-    for b in range(lake_man.num_buckets):
-        files = lake_man.files_for_bucket(b)
-        fps[str(b)] = _files_fingerprint(files)
-        if full or fps[str(b)] != prior_fps.get(str(b)):
-            todo.append((b, files))
-    if not todo:
-        return report
 
     # projection pushdown: the view is a pure function of its key + agg
     # columns, so only those (plus the always-read LWW key columns) are
@@ -388,78 +333,33 @@ def refresh_matview(
         | ({spec.time_col} if spec.time_col else set())
     )
 
-    @ray.remote
-    def _recompute(bucket: int, files: list):
+    def recompute(bucket: int, files: list) -> list:
         from ..functions.hashing import content_hash
-        from ..schema import schema_to_b64
 
         agg = view_partials(
             live_rows(resolve_bucket(lake_dir, bucket, files, columns=view_cols)),
             spec,
         )
         if agg is None or agg.num_rows == 0:
-            return bucket, None, None
-        h = content_hash(agg)
-        path = _write_immutable(agg, bucket_dir(mv_dir, bucket), f"agg-{h}.parquet")
-        import os
+            return []
+        return [store_file(mv_dir, bucket, "mv", agg, content_hash(agg), prefix="agg")]
 
-        return bucket, {
-            "path": os.path.relpath(path, mv_dir),
-            "kind": "mv",
-            "content_hash": h,
-            "row_count": agg.num_rows,
-            "min_lsn": -1,
-            "max_lsn": -1,
-        }, schema_to_b64(agg.schema)
-
-    replace = {}
-    rows = 0
-    schema_b64 = mv_man.schema_ipc
-    for bucket, info, sch in ray.get(
-        [_recompute.remote(b, fs) for b, fs in todo]
-    ):
-        replace[bucket] = [info] if info else []
-        rows += info["row_count"] if info else 0
-        schema_b64 = schema_b64 or sch
-
-    metrics = {
-        "matview_refresh": True,
-        "lake_version": lake_man.version,
-        "buckets_refreshed": len(todo),
-        "rows_written": rows,
-        # full per-bucket fingerprint map (refreshed + carried-forward)
-        # — the next refresh's skip oracle
-        "bucket_fps": fps,
+    mv_man, refreshed = refresh_consumer(
+        lake_man,
+        mv_dir,
+        recompute,
         # the view definition, fixed at creation
-        "view_spec": spec.to_json(),
-    }
-    if layout_changed:
-        metrics["layout_migrated"] = True
-        mv_man = mv_man.commit_layout(
-            lake_man.num_buckets,
-            lake_man.salt_factor,
-            {b: replace.get(b, []) for b in range(lake_man.num_buckets)},
-            new_watermark_lsn=lake_man.global_watermark(),
-            metrics=metrics,
-        )
-    else:
-        mv_man = mv_man.commit(
-            [],
-            new_watermark_lsn=lake_man.global_watermark(),
-            replace_buckets=replace,
-            schema_names=(
-                [*spec.group_keys, *(a.name for a in spec.aggs)]
-                if schema_b64
-                else None
-            ),
-            schema_ipc=schema_b64,
-            metrics=metrics,
-        )
-    report.buckets_refreshed = len(todo)
-    report.rows_written = rows
-    report.mv_version = mv_man.version
-    report.as_of_watermark = mv_man.global_watermark()
-    return report
+        {"matview_refresh": True, "view_spec": spec.to_json()},
+        full=full,
+        schema_names=[*spec.group_keys, *(a.name for a in spec.aggs)],
+    )
+    return MatviewRefreshReport(
+        buckets_total=lake_man.num_buckets,
+        buckets_refreshed=len(refreshed),
+        rows_written=sum(r["row_count"] for rs in refreshed.values() for r in rs),
+        mv_version=mv_man.version,
+        as_of_watermark=mv_man.global_watermark(),
+    )
 
 
 def build_matview(

@@ -1,12 +1,13 @@
 """Per-bucket LWW merge (delta writer), partition-aligned read path, compaction.
 
-Write path (merge-on-read, Hudi/Iceberg-style):
+Write path (merge-on-read, Hudi/Iceberg-style, shuffle-free):
   events chunk → (prep: unify schema, add bucket) → in-batch dedupe →
-  ``groupby("bucket")`` [THE one hot-path shuffle] → per-group
-  ``write_bucket_delta``: filter stale LSNs against the broadcast watermark
-  map, re-dedupe across batches, write ONE immutable content-hash-named delta
-  parquet per (bucket, chunk), return a tiny stats row. The driver then
-  commits all stats rows atomically via the manifest (state/manifest.py).
+  ``make_direct_delta_writer``: each task splits its batch by bucket,
+  filters stale LSNs against the broadcast watermark map and writes one
+  immutable content-hash-named winner delta per (task, bucket), returning a
+  tiny stats row each. The driver turns the stats into manifest file
+  records (``file_records``) and commits them atomically
+  (state/manifest.py).
 
 Read path: the lake is already hash-partitioned by conv_id, so final-table
 resolution needs NO shuffle — each bucket's base+delta files are read, LWW
@@ -185,83 +186,19 @@ def _write_immutable(table: pa.Table, directory: str, name: str) -> str:
     return final
 
 
-def make_bucket_merge_fn(lake_dir: str, watermarks: dict):
-    """Build the groupby('bucket').map_groups function for one chunk.
-
-    ``watermarks`` is the small per-bucket watermark dict captured by closure
-    (broadcast once in the serialized task spec — the small-side-broadcast
-    pattern, not re-shipped per batch)."""
-
-    def write_bucket_delta(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _STATS_SCHEMA.empty_table()
-        bucket = group["bucket"][0].as_py()
-        wm = watermarks.get(bucket, watermarks.get(str(bucket), -1))
-        rows_in = group.num_rows
-        t = group.filter(pc.greater(group["lsn"], wm))
-        stale = rows_in - t.num_rows
-        if t.num_rows == 0:
-            out = _STATS_SCHEMA.empty_table()
-            if stale == 0:
-                return out
-            return pa.Table.from_pydict(
-                {
-                    "bucket": [bucket], "path": [None], "kind": ["noop"],
-                    "content_hash": [None], "row_count": [0],
-                    "min_lsn": [-1], "max_lsn": [-1],
-                    "conv_min": [None], "conv_max": [None],
-                    "rows_in": [rows_in], "stale_skipped": [stale],
-                    "ts_us_min": [None], "ts_us_max": [None],
-                    "conv_bloom": [None],
-                },
-                schema=_STATS_SCHEMA,
-            )
-        t = lww_winners(t).drop_columns(["bucket"])
-        h = content_hash(t)
-        path = _write_immutable(t, bucket_dir(lake_dir, bucket), f"delta-{h}.parquet")
-        rel = os.path.relpath(path, lake_dir)
-        cmin, cmax = _conv_minmax(t)
-        tmin, tmax = _ts_us_minmax(t)
-        top_conv, top_rows = _top_conv(t)
-        return pa.Table.from_pydict(
-            {
-                "bucket": [bucket],
-                "path": [rel],
-                "kind": ["delta"],
-                "content_hash": [h],
-                "row_count": [t.num_rows],
-                "min_lsn": [pc.min(t["lsn"]).as_py()],
-                "max_lsn": [pc.max(t["lsn"]).as_py()],
-                "conv_min": [cmin],
-                "conv_max": [cmax],
-                "rows_in": [rows_in],
-                "stale_skipped": [stale],
-                "ts_us_min": [tmin],
-                "ts_us_max": [tmax],
-                "conv_bloom": [_conv_bloom(t)],
-                "top_conv": [top_conv],
-                "top_conv_rows": [top_rows],
-            },
-            schema=_STATS_SCHEMA,
-        )
-
-    return write_bucket_delta
-
-
 def make_direct_delta_writer(lake_dir: str, watermarks: dict):
-    """Shuffle-FREE merge mode: each (read→prep→dedupe) task splits its
+    """The delta writer: each (read→prep→dedupe) task splits its
     already-deduped batch by bucket and writes one winner-delta file per
     (task, bucket) directly — no all-to-all exchange at all.
 
     This is sound because the LWW winner by (ts, lsn) is associative: the
     read path / compaction resolves across any number of per-task deltas to
-    the same global winner the shuffled merge would produce. The trade is
-    write amplification (tasks × buckets small files per chunk) for zero
-    shuffle — the Hudi-style MoR delta-log pattern; compaction (partition-
-    aligned, still shuffle-free) folds the files back down. Use
-    ``merge_mode="shuffle"`` when commits are rare and consolidated deltas
-    matter more than ingest latency."""
-    import numpy as np
+    the same global winner one consolidated delta per bucket would give.
+    The trade is write amplification (tasks × buckets small files per
+    chunk) for zero shuffle — the Hudi-style MoR delta-log pattern;
+    compaction (partition-aligned, still shuffle-free) folds the files back
+    down. ``watermarks`` is the small per-bucket watermark dict captured by
+    closure (broadcast once in the serialized task spec)."""
 
     def write_deltas(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -328,6 +265,38 @@ def make_direct_delta_writer(lake_dir: str, watermarks: dict):
         return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
     return write_deltas
+
+
+def file_records(stats) -> list:
+    """Writer stats rows (``_STATS_SCHEMA``) → JSON-safe manifest file
+    records, one per written file; stale-only ``noop`` rows (metrics, no
+    file) are dropped. ``take_all`` may yield numpy scalars, so every
+    integer is cast."""
+
+    def opt_int(v):
+        return int(v) if v is not None else None
+
+    return [
+        {
+            "bucket": int(r["bucket"]),
+            "path": r["path"],
+            "kind": r["kind"],
+            "content_hash": r["content_hash"],
+            "row_count": int(r["row_count"]),
+            "min_lsn": int(r["min_lsn"]),
+            "max_lsn": int(r["max_lsn"]),
+            "conv_min": r.get("conv_min"),
+            "conv_max": r.get("conv_max"),
+            # event-time range over all rows, tombstones included: the
+            # read path's sound ts prunes apply before any compaction
+            "ts_us_min": opt_int(r.get("ts_us_min")),
+            "ts_us_max": opt_int(r.get("ts_us_max")),
+            # point-lookup file prune (functions/bloom)
+            "conv_bloom": r.get("conv_bloom"),
+        }
+        for r in stats
+        if r["kind"] != "noop"
+    ]
 
 
 # ---------------------------------------------------------------------------

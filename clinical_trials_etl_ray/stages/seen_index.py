@@ -43,16 +43,24 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.hashing import hash_strings
-from ..state.manifest import Manifest, bucket_dir
-from .merge import _write_immutable
+from ..state.manifest import Manifest
+from .lifecycle import (
+    fold_commit,
+    grouped_records,
+    growth_advice,
+    open_store,
+    partition_rows,
+    partition_width,
+    reroute_commit,
+    store_file,
+)
 
 FP_COL = "_fp"
 BUCKET_COL = "_fp_bucket"
 
-#: target committed fingerprints per index partition at CREATION — the
-#: seen-index sibling of lsh_index.LSH_PARTITION_ROW_BUDGET; the first
-#: increment sizes the layout, ``rebucket_seen_index`` re-sizes it in
-#: place when history outgrows it
+#: target committed fingerprints per index partition at CREATION; the
+#: first increment sizes the layout, ``rebucket_seen_index`` re-sizes it
+#: in place when history outgrows it (rules: stages/lifecycle.py)
 SEEN_PARTITION_FP_BUDGET = 2_000_000
 SEEN_MIN_BUCKETS = 32  # small corpora keep the historical layout floor
 SEEN_MAX_BUCKETS = 65_536
@@ -61,10 +69,11 @@ SEEN_MAX_BUCKETS = 65_536
 def seen_index_width(n_docs: int) -> int:
     """Creation-time partition count for the fingerprint store, scaled
     with the first increment: ``n_docs`` fingerprints land in partitions
-    of ~SEEN_PARTITION_FP_BUDGET each. Mirrors ``lsh_index_width``;
+    of ~SEEN_PARTITION_FP_BUDGET each (``lifecycle.partition_width``);
     floors at SEEN_MIN_BUCKETS, caps at SEEN_MAX_BUCKETS."""
-    n = -(-max(0, int(n_docs)) // SEEN_PARTITION_FP_BUDGET)  # ceil div
-    return max(SEEN_MIN_BUCKETS, min(SEEN_MAX_BUCKETS, n))
+    return partition_width(
+        n_docs, SEEN_PARTITION_FP_BUDGET, SEEN_MIN_BUCKETS, SEEN_MAX_BUCKETS
+    )
 
 
 @dataclass
@@ -118,20 +127,9 @@ def _bucket_seen_among(index_dir: str, files: list, fps) -> pd.Index:
 
 def _novel_file_info(index_dir: str, bucket: int, novel: list) -> dict:
     h = hashlib.sha1("\n".join(novel).encode()).hexdigest()[:16]
-    path = _write_immutable(
-        pa.table({"fp": pa.array(novel, pa.string())}),
-        bucket_dir(index_dir, bucket),
-        f"seen-{h}.parquet",
+    return store_file(
+        index_dir, bucket, "seen", pa.table({"fp": pa.array(novel, pa.string())}), h
     )
-    return {
-        "bucket": int(bucket),
-        "path": os.path.relpath(path, index_dir),
-        "kind": "seen",
-        "content_hash": h,
-        "row_count": len(novel),
-        "min_lsn": -1,
-        "max_lsn": -1,
-    }
 
 
 def update_seen_index(
@@ -150,20 +148,10 @@ def update_seen_index(
     authoritative (an explicit mismatching value raises); grow an outgrown
     layout in place with ``rebucket_seen_index``.
     """
-    if Manifest.exists(index_dir):
-        man = Manifest.load(index_dir)
-        if num_buckets is not None and num_buckets != man.num_buckets:
-            raise ValueError(
-                f"index at {index_dir!r} has num_buckets="
-                f"{man.num_buckets}, requested {num_buckets} — use "
-                "rebucket_seen_index to change the layout in place"
-            )
-    else:
-        man = Manifest.create(
-            index_dir,
-            num_buckets if num_buckets is not None
-            else seen_index_width(ds.count()),
-        )
+    man = open_store(
+        index_dir, num_buckets, lambda: seen_index_width(ds.count()),
+        "rebucket_seen_index",
+    )
     buckets = man.num_buckets
     stamped = ds.map_batches(
         lambda df: stamp_fingerprints(df, text_col, buckets)[
@@ -180,85 +168,53 @@ def _update_from_stamped(man: Manifest, stamped) -> SeenIndexReport:
         b: man.files_for_bucket(b) for b in range(man.num_buckets)
     }
 
-    def _write_novel(g: pd.DataFrame) -> pd.DataFrame:
+    def write_novel(g: pd.DataFrame):
         bucket = int(g[BUCKET_COL].iat[0])
         seen = _bucket_seen_among(
             index_dir, files_by_bucket[bucket], g[FP_COL]
         )
         novel = sorted(set(g[FP_COL][~g[FP_COL].isin(seen)]))
-        if not novel:
-            return pd.DataFrame({"info": pd.Series([], dtype=object)})
-        info = _novel_file_info(index_dir, bucket, novel)
-        return pd.DataFrame({"info": pd.Series([info], dtype=object)})
+        return _novel_file_info(index_dir, bucket, novel) if novel else None
 
-    infos = [
-        row["info"]
-        for row in stamped.groupby(BUCKET_COL)
-        .map_groups(_write_novel, batch_format="pandas")
-        .take_all()  # tiny: ≤ one fileinfo row per touched bucket
-    ]
+    infos = grouped_records(stamped, BUCKET_COL, write_novel)
 
-    # Growth advisory — the seen-index sibling of the lshidx monitor:
-    # committed fingerprints per partition (manifest file metadata only,
-    # no data read), including this increment. When the fullest partition
-    # exceeds 2x the creation budget, warn with the prescribed fix
-    # (rebucket_seen_index at the advised width) and record the advice in
-    # the commit metrics so automation can act on it.
-    fp_rows: dict = {}
-    for b in range(man.num_buckets):
-        for f in files_by_bucket[b]:
-            fp_rows[b] = fp_rows.get(b, 0) + int(f["row_count"])
-    for i in infos:
-        fp_rows[i["bucket"]] = fp_rows.get(i["bucket"], 0) + int(i["row_count"])
-    max_part_rows = max(fp_rows.values(), default=0)
-    advice_width = None
-    if max_part_rows > 2 * SEEN_PARTITION_FP_BUDGET:
-        advice_width = max(
-            man.num_buckets,
-            min(
-                SEEN_MAX_BUCKETS,
-                -(-sum(fp_rows.values()) // SEEN_PARTITION_FP_BUDGET),
-            ),
-        )
-        if advice_width > man.num_buckets:
-            import warnings
-
-            warnings.warn(
-                f"seen index at {index_dir!r}: fullest partition holds "
-                f"{max_part_rows} fingerprints (> 2x the "
-                f"{SEEN_PARTITION_FP_BUDGET}-row budget) at "
-                f"num_buckets={man.num_buckets}; run "
-                f"rebucket_seen_index(index_dir, {advice_width}) to "
-                "re-partition in place",
-                stacklevel=3,
-            )
-        else:
-            advice_width = None  # already at the cap / width sufficient
-
-    report = SeenIndexReport(version=man.version)
-    if infos:
-        metrics = {
-            "seen_index": True,
-            "fps_added": int(sum(i["row_count"] for i in infos)),
-            "seen_partition_max_rows": int(max_part_rows),
-        }
-        if advice_width is not None:
-            metrics["seen_rebucket_advice_width"] = int(advice_width)
-        man = man.commit(
-            infos,
-            new_watermark_lsn=man.global_watermark(),
-            schema_names=["fp"],
-            metrics=metrics,
-        )
-        report = SeenIndexReport(
-            buckets_touched=len(infos),
-            fps_added=int(sum(i["row_count"] for i in infos)),
-            version=man.version,
-        )
-    return report
+    # growth advisory from manifest file metadata, this increment included;
+    # the advice is recorded in the commit metrics for automation to act on
+    max_part_rows, advice_width = growth_advice(
+        partition_rows(man, infos),
+        man.num_buckets,
+        SEEN_PARTITION_FP_BUDGET,
+        SEEN_MAX_BUCKETS,
+        lambda fullest, advised: (
+            f"seen index at {index_dir!r}: fullest partition holds {fullest} "
+            f"fingerprints (> 2x the {SEEN_PARTITION_FP_BUDGET}-row budget) "
+            f"at num_buckets={man.num_buckets}; run "
+            f"rebucket_seen_index(index_dir, {advised}) to re-partition in place"
+        ),
+        stacklevel=3,
+    )
+    if not infos:
+        return SeenIndexReport(version=man.version)
+    fps_added = sum(i["row_count"] for i in infos)
+    metrics = {
+        "seen_index": True,
+        "fps_added": fps_added,
+        "seen_partition_max_rows": max_part_rows,
+    }
+    if advice_width is not None:
+        metrics["seen_rebucket_advice_width"] = advice_width
+    man = man.commit(
+        infos,
+        new_watermark_lsn=man.global_watermark(),
+        schema_names=["fp"],
+        metrics=metrics,
+    )
+    return SeenIndexReport(
+        buckets_touched=len(infos), fps_added=fps_added, version=man.version
+    )
 
 
-# build is the degenerate update (load_or_create seeds an empty index)
+# build is the degenerate update (open_store creates an empty index)
 build_seen_index = update_seen_index
 
 
@@ -315,14 +271,10 @@ def filter_then_update(
 
     Returns ``(survivors Dataset, SeenIndexReport)``.
     """
-    if Manifest.exists(index_dir):
-        man = Manifest.load(index_dir)
-    else:
-        man = Manifest.create(
-            index_dir,
-            num_buckets if num_buckets is not None
-            else seen_index_width(ds.count()),
-        )
+    man = open_store(
+        index_dir, num_buckets, lambda: seen_index_width(ds.count()),
+        "rebucket_seen_index", strict=False,
+    )
     buckets = man.num_buckets
     stamped = ds.map_batches(
         lambda df: stamp_fingerprints(df, text_col, buckets),
@@ -338,73 +290,44 @@ def filter_then_update(
     return survivors, report
 
 
+def _fold_partition(index_dir: str, bucket: int, files: list) -> dict:
+    """Union + sort of one partition's fingerprint files."""
+    fps: set = set()
+    for f in files:
+        fps.update(
+            pq.read_table(os.path.join(index_dir, f["path"]), columns=["fp"])[
+                "fp"
+            ].to_pylist()
+        )
+    return _novel_file_info(index_dir, bucket, sorted(fps))
+
+
 def compact_seen_index(index_dir: str, min_files: int = 2) -> int:
     """Fold each partition's accumulated increment files into one — the
     steady-state maintenance pass: every ``update_seen_index`` writes one
     novel-fps file per touched bucket, so the per-probe file fan-in grows
     with increment count until folded. Sound because the store is an
-    append-only fingerprint SET — folding is union + sort, committed with
-    ``consumed_paths`` so a fold racing a concurrent update rebases
+    append-only fingerprint SET — folding is union + sort, committed by
+    ``lifecycle.fold_commit`` so a fold racing a concurrent update rebases
     cleanly and keeps the newer files. Returns the number of partitions
-    folded. Mirrors ``compact_lsh_index``."""
-    import ray
-
+    folded."""
     man = Manifest.load(index_dir)
-
-    @ray.remote
-    def _fold(bucket: int, files: list):
-        fps: set = set()
-        for f in files:
-            fps.update(
-                pq.read_table(
-                    os.path.join(index_dir, f["path"]), columns=["fp"]
-                )["fp"].to_pylist()
-            )
-        return bucket, _novel_file_info(index_dir, bucket, sorted(fps))
-
-    refs, kept, consumed = [], {}, set()
-    for b in range(man.num_buckets):
-        files = man.files_for_bucket(b)
-        if len(files) >= min_files:
-            refs.append(_fold.remote(b, files))
-            consumed.update(f["path"] for f in files)
-            kept[b] = []
-        else:
-            kept[b] = list(files)
-    if not refs:
-        return 0
-    folded: dict = {}
-    for bucket, info in ray.get(refs):
-        folded[bucket] = [{k: v for k, v in info.items() if k != "bucket"}]
-    replace = {
-        b: kept[b] + folded.get(b, [])
-        for b in set(kept) | set(folded)
-        if kept[b] or folded.get(b)
-    }
-    man2 = man.commit(
-        [],
-        new_watermark_lsn=man.global_watermark(),
-        replace_buckets=replace,
-        consumed_paths=consumed,
-        metrics={**man.metrics, "seen_compaction": True},
+    return fold_commit(
+        man,
+        lambda b, files: _fold_partition(index_dir, b, files),
+        {**man.metrics, "seen_compaction": True},
+        min_files=min_files,
     )
-    # age-gated for the same reason as compact_lsh_index: a concurrent
-    # update's staged files must survive until their commit lands
-    from ..state.manifest import ORPHAN_DATA_MIN_AGE_SEC
-
-    man2.cleanup_orphans(min_data_age_sec=ORPHAN_DATA_MIN_AGE_SEC)
-    return len(refs)
 
 
 def rebucket_seen_index(index_dir: str, new_num_buckets: int) -> int:
-    """In-place re-partitioning of the fingerprint store — the seen-index
-    sibling of ``rebucket_lsh_index``: when the indexed history outgrows
-    the creation-time partition count (each partition is
+    """In-place re-partitioning of the fingerprint store: when the indexed
+    history outgrows the creation-time partition count (each partition is
     O(history/num_buckets)), read the fingerprints once, re-route them at
     the new width through the SAME deterministic hash rule every probe
     uses (``hash_strings(fp) % N`` — exactly ``stamp_fingerprints``'s
     routing), and atomically publish a manifest version that swaps the
-    whole layout (``Manifest.commit_layout``). Identical fps from
+    whole layout (``lifecycle.reroute_commit``). Identical fps from
     re-delivered increments fold away, so the result is also a full
     compaction. Filter/update results are unchanged (pinned ≡ a
     from-scratch rebuild by tests/test_seen_index.py); older versions
@@ -414,61 +337,24 @@ def rebucket_seen_index(index_dir: str, new_num_buckets: int) -> int:
     Cost: O(index) read+write once — the index is one md5 per distinct
     document (~16 bytes raw), 3-4 orders of magnitude smaller than the
     corpus, so this is cheap relative to re-fingerprinting anything."""
-    import ray.data
+    def stamp(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(**{
+            BUCKET_COL: (
+                hash_strings(df["fp"].to_numpy(object))
+                % np.uint64(new_num_buckets)
+            ).astype(np.int32)
+        })
 
-    man = Manifest.load(index_dir)
-    if new_num_buckets == man.num_buckets:
-        return man.version
-    files = [
-        os.path.join(index_dir, f["path"])
-        for b in range(man.num_buckets)
-        for f in man.files_for_bucket(b)
-    ]
+    def write(g: pd.DataFrame) -> dict:
+        bucket = int(g[BUCKET_COL].iat[0])
+        return _novel_file_info(index_dir, bucket, sorted(set(g["fp"])))
 
-    infos: list = []
-    if files:
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(**{
-                BUCKET_COL: (
-                    hash_strings(df["fp"].to_numpy(object))
-                    % np.uint64(new_num_buckets)
-                ).astype(np.int32)
-            })
-
-        def write(g: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(g[BUCKET_COL].iat[0])
-            info = _novel_file_info(index_dir, bucket, sorted(set(g["fp"])))
-            return pd.DataFrame({"info": pd.Series([info], dtype=object)})
-
-        infos = [
-            r["info"]
-            for r in ray.data.read_parquet(files)
-            .map_batches(stamp, batch_format="pandas")
-            .groupby(BUCKET_COL)
-            .map_groups(write, batch_format="pandas")
-            .take_all()  # tiny: one fileinfo per new partition
-        ]
-
-    bucket_files: dict = {}
-    for i in infos:
-        bucket_files.setdefault(int(i["bucket"]), []).append(
-            {k: v for k, v in i.items() if k != "bucket"}
-        )
-    # carry metrics forward but drop the growth advice the rebucket just
-    # acted on (the next update recomputes it at the new layout)
-    carried = {
-        k: v for k, v in man.metrics.items()
-        if k not in ("seen_rebucket_advice_width", "seen_partition_max_rows")
-    }
-    nxt = man.commit_layout(
+    # the growth advice the rebucket just acted on is dropped (the next
+    # update recomputes it at the new layout)
+    return reroute_commit(
+        index_dir,
         new_num_buckets,
-        man.salt_factor,
-        bucket_files,
-        new_watermark_lsn=man.global_watermark(),
-        metrics={
-            **carried,
-            "seen_rebucket": True,
-            "old_num_buckets": man.num_buckets,
-        },
+        {"seen": (stamp, BUCKET_COL, write)},
+        {"seen_rebucket": True},
+        carry_except=("seen_rebucket_advice_width", "seen_partition_max_rows"),
     )
-    return nxt.version

@@ -39,9 +39,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..state.manifest import Manifest, bucket_dir
-from .matview import _files_fingerprint
-from .merge import _write_immutable, live_rows, resolve_bucket
+from ..state.manifest import Manifest
+from .lifecycle import refresh_consumer, store_file
+from .merge import live_rows, resolve_bucket
 
 
 @dataclass
@@ -107,32 +107,13 @@ def refresh_text_index(
     lake_dir: str, idx_dir: str, full: bool = False
 ) -> TextIndexReport:
     """Bring the inverted index up to the lake's committed state —
-    matview-style incremental maintenance (see module docstring)."""
-    import ray
-
-    from .matview import _sync_consumer_manifest
+    matview-style incremental maintenance (see module docstring and
+    ``lifecycle.refresh_consumer``)."""
+    from ..functions.hashing import content_hash
 
     lake_man = Manifest.load(lake_dir)
-    idx_man, layout_changed = _sync_consumer_manifest(idx_dir, lake_man)
-    if layout_changed:
-        full = True  # postings are keyed by old lake buckets — rebuild
-    report = TextIndexReport(
-        buckets_total=lake_man.num_buckets, idx_version=idx_man.version
-    )
-    prior_fps = idx_man.metrics.get("bucket_fps", {})
-    todo, fps = [], {}
-    for b in range(lake_man.num_buckets):
-        files = lake_man.files_for_bucket(b)
-        fps[str(b)] = _files_fingerprint(files)
-        if full or fps[str(b)] != prior_fps.get(str(b)):
-            todo.append((b, files))
-    if not todo:
-        return report
 
-    @ray.remote
-    def _recompute(bucket: int, files: list):
-        from ..functions.hashing import content_hash
-
+    def recompute(bucket: int, files: list) -> list:
         postings, doclens = bucket_postings(
             live_rows(
                 resolve_bucket(
@@ -141,55 +122,24 @@ def refresh_text_index(
             )
         )
         if postings.num_rows == 0:
-            return bucket, []
-        infos = []
-        for kind, table in (("tidx", postings), ("tlen", doclens)):
-            h = content_hash(table)
-            path = _write_immutable(
-                table, bucket_dir(idx_dir, bucket), f"{kind}-{h}.parquet"
-            )
-            infos.append({
-                "path": os.path.relpath(path, idx_dir),
-                "kind": kind,
-                "content_hash": h,
-                "row_count": table.num_rows,
-                "min_lsn": -1,
-                "max_lsn": -1,
-            })
-        return bucket, infos
+            return []
+        return [
+            store_file(idx_dir, bucket, kind, table, content_hash(table))
+            for kind, table in (("tidx", postings), ("tlen", doclens))
+        ]
 
-    replace, rows = {}, 0
-    for bucket, infos in ray.get(
-        [_recompute.remote(b, fs) for b, fs in todo]
-    ):
-        replace[bucket] = infos
-        rows += sum(i["row_count"] for i in infos if i["kind"] == "tidx")
-
-    metrics = {
-        "text_index": True,
-        "lake_version": lake_man.version,
-        "bucket_fps": fps,
-    }
-    if layout_changed:
-        metrics["layout_migrated"] = True
-        idx_man = idx_man.commit_layout(
-            lake_man.num_buckets,
-            lake_man.salt_factor,
-            {b: replace.get(b, []) for b in range(lake_man.num_buckets)},
-            new_watermark_lsn=lake_man.global_watermark(),
-            metrics=metrics,
-        )
-    else:
-        idx_man = idx_man.commit(
-            [],
-            new_watermark_lsn=lake_man.global_watermark(),
-            replace_buckets=replace,
-            metrics=metrics,
-        )
-    report.buckets_refreshed = len(todo)
-    report.postings_written = rows
-    report.idx_version = idx_man.version
-    return report
+    idx_man, refreshed = refresh_consumer(
+        lake_man, idx_dir, recompute, {"text_index": True}, full=full
+    )
+    return TextIndexReport(
+        buckets_total=lake_man.num_buckets,
+        buckets_refreshed=len(refreshed),
+        postings_written=sum(
+            r["row_count"] for rs in refreshed.values() for r in rs
+            if r["kind"] == "tidx"
+        ),
+        idx_version=idx_man.version,
+    )
 
 
 def build_text_index(lake_dir: str, idx_dir: str) -> TextIndexReport:

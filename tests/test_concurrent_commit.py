@@ -91,71 +91,159 @@ def test_manifest_rebase_refusals(tmp_path):
         )
 
 
-def test_compaction_rebase_keeps_concurrent_deltas(ray_session, tmp_path):
-    """A compaction whose commit lands AFTER a newer ingest commit must not
-    drop the deltas that ingest added — the consumed-paths merge."""
+def _shifted_binlog(tmp_path, name, spec, lsn_offset):
+    """A one-shard binlog whose LSNs start ``lsn_offset`` above ``spec``'s."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    raw = str(tmp_path / f"{name}_raw")
+    write_binlog_shards(spec, raw, n_shards=1, parallel=False)
+    out = str(tmp_path / name)
+    os.makedirs(out)
+    for f in sorted(os.listdir(raw)):
+        src = os.path.join(raw, f)
+        if f.endswith(".parquet"):
+            t = pq.read_table(src)
+            i = t.schema.get_field_index("lsn")
+            t = t.set_column(i, "lsn", pc.add(t.column("lsn"), pa.scalar(lsn_offset)))
+            pq.write_table(t, os.path.join(out, f))
+        else:
+            shutil.copy(src, os.path.join(out, f))
+    return out
+
+
+def _lake_store(tmp_path):
+    """The lake: two replay chunks, then a second ingest generation; the
+    fold is major compaction (each bucket's whole file list, one group)."""
     from clinical_trials_etl_ray.stages.merge import compact_bucket
 
     binlog = str(tmp_path / "binlog")
     spec = BinlogSpec(n_events=3_000, n_convs=30, seed=51, delete_rate=0.05)
     write_binlog_shards(spec, binlog, n_shards=2, parallel=False)
     lake = str(tmp_path / "lake")
-    replay(binlog, lake, num_buckets=2, files_per_chunk=1)
+    binlog2 = _shifted_binlog(
+        tmp_path, "binlog2", BinlogSpec(n_events=1_000, n_convs=30, seed=52), 50_000
+    )
+    key = ["conv_id", "turn_idx"]
 
-    man0 = Manifest.load(lake)
-    # driver-side compaction plan against man0's file lists
-    replace, consumed = {}, set()
-    for b in range(man0.num_buckets):
-        files = man0.files_for_bucket(b)
-        info = compact_bucket(lake, b, files)
-        replace[b] = [info] if info else []
-        consumed.update(f["path"] for f in files)
+    def state():
+        df = read_final_table(lake).to_pandas()
+        return df.sort_values(key, kind="mergesort").reset_index(drop=True)[
+            sorted(df.columns)
+        ]
 
-    # a second generation of ingest commits BEFORE compaction's commit
-    import pyarrow as pa
-    import pyarrow.compute as pc
+    return (
+        lake,
+        lambda: replay(binlog, lake, num_buckets=2, files_per_chunk=1),
+        lambda: replay(binlog2, lake, num_buckets=2, files_per_chunk=1),
+        lambda b, files: compact_bucket(lake, b, files),
+        {"min_files": 1, "split_kinds": False},
+        state,
+    )
+
+
+def _index_rows(store: str) -> dict:
+    """Every distinct row of an index store, by file kind."""
     import pyarrow.parquet as pq
 
-    raw = str(tmp_path / "binlog2_raw")
-    write_binlog_shards(
-        BinlogSpec(n_events=1_000, n_convs=30, seed=52), raw,
-        n_shards=1, parallel=False,
-    )
-    binlog2 = str(tmp_path / "binlog2")
-    os.makedirs(binlog2)
-    for name in sorted(os.listdir(raw)):
-        src = os.path.join(raw, name)
-        if name.endswith(".parquet"):
-            t = pq.read_table(src)
-            i = t.schema.get_field_index("lsn")
-            t = t.set_column(i, "lsn", pc.add(t.column("lsn"), pa.scalar(50_000)))
-            pq.write_table(t, os.path.join(binlog2, name))
-        else:
-            import shutil
+    man = Manifest.load(store)
+    rows: dict = {}
+    for b in range(man.num_buckets):
+        for f in man.files_for_bucket(b):
+            t = pq.read_table(os.path.join(store, f["path"])).to_pylist()
+            rows.setdefault(f["kind"], set()).update(
+                tuple(tuple(v) if isinstance(v, list) else v for v in r.values())
+                for r in t
+            )
+    return rows
 
-            shutil.copy(src, os.path.join(binlog2, name))
-    replay(binlog2, lake, num_buckets=2, files_per_chunk=1)
-    want = read_final_table(lake).to_pandas()
 
-    # compaction's stale-based commit rebases and keeps gen-2 deltas
-    man2 = man0.commit(
-        [], new_watermark_lsn=man0.global_watermark(),
-        replace_buckets=replace, consumed_paths=consumed,
-        metrics={"compaction": True},
-    )
-    assert man2.version == Manifest.load(lake).version
-    cur = Manifest.load(lake)
-    kinds = [
-        f["kind"] for b in range(cur.num_buckets) for f in cur.files_for_bucket(b)
-    ]
-    assert "base" in kinds and "delta" in kinds  # folded gen-1 + live gen-2
+def _seen_store(tmp_path):
+    """The seen index: two increments, then a third; the fold is union."""
+    import ray.data
 
-    got = read_final_table(lake).to_pandas()
-    key = ["conv_id", "turn_idx"]
-    pd.testing.assert_frame_equal(
-        got.sort_values(key, kind="mergesort").reset_index(drop=True)[sorted(got.columns)],
-        want.sort_values(key, kind="mergesort").reset_index(drop=True)[sorted(want.columns)],
+    from clinical_trials_etl_ray.stages import seen_index as S
+
+    idx = str(tmp_path / "seen")
+
+    def inc(lo, hi):
+        docs = pd.DataFrame({"doc_id": range(lo, hi), "text": [f"doc {i}" for i in range(lo, hi)]})
+        return lambda: S.update_seen_index(idx, ray.data.from_pandas(docs), num_buckets=2)
+
+    def build():
+        inc(0, 20)()
+        inc(20, 40)()
+
+    return (
+        idx, build, inc(40, 60),
+        lambda b, files: S._fold_partition(idx, b, files), {},
+        lambda: _index_rows(idx),
     )
+
+
+def _lsh_store(tmp_path):
+    """The LSH index: two increments, then a third; the fold is concat +
+    dedupe per (bucket, kind)."""
+    import numpy as np
+    import ray.data
+
+    from clinical_trials_etl_ray.stages import lsh_index as L
+
+    idx = str(tmp_path / "lsh")
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(300)]
+    texts = [" ".join(rng.choice(vocab, 40)) for _ in range(15)]
+
+    def inc(lo, hi):
+        docs = pd.DataFrame({"doc_id": np.arange(lo, hi, dtype=np.int64), "text": texts[lo:hi]})
+        return lambda: L.update_lsh_index(idx, ray.data.from_pandas(docs), num_buckets=2)
+
+    def build():
+        inc(0, 5)()
+        inc(5, 10)()
+
+    return (
+        idx, build, inc(10, 15),
+        lambda b, files: L._fold_partition(idx, b, files), {},
+        lambda: _index_rows(idx),
+    )
+
+
+@pytest.mark.parametrize("store", ["lake", "seen", "lsh"])
+def test_compaction_rebase_keeps_concurrent_deltas(ray_session, tmp_path, store):
+    """A fold whose commit lands AFTER a newer update commit must not drop
+    the files that update added — the consumed-paths merge of the shared
+    fold commit (stages/lifecycle.fold_commit), for every store that
+    compacts: the lake, the seen index and the LSH index."""
+    from clinical_trials_etl_ray.stages.lifecycle import fold_commit
+
+    make = {"lake": _lake_store, "seen": _seen_store, "lsh": _lsh_store}[store]
+    path, build, update, fold, fold_kw, state = make(tmp_path)
+    build()
+    man0 = Manifest.load(path)  # the fold plans against this snapshot
+
+    # a newer update commits BEFORE the fold's commit
+    update()
+    newer = Manifest.load(path).all_files() - man0.all_files()
+    assert newer
+    want = state()
+
+    # the fold's stale-based commit rebases and keeps the update's files
+    assert fold_commit(man0, fold, {"compaction": True}, **fold_kw) > 0
+    cur = Manifest.load(path)
+    assert cur.version == man0.version + 2
+    assert newer <= cur.all_files()
+    if store == "lake":
+        kinds = {
+            f["kind"] for b in range(cur.num_buckets) for f in cur.files_for_bucket(b)
+        }
+        assert {"base", "delta"} <= kinds  # folded gen-1 + live gen-2
+        pd.testing.assert_frame_equal(state(), want)
+    else:
+        assert state() == want
 
 
 def test_crashed_low_range_producer_rerun_delivers(ray_session, tmp_path):

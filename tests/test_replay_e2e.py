@@ -52,11 +52,10 @@ def oracle_table():
     return oracle_final_table(generate_events(SPEC))
 
 
-@pytest.mark.parametrize("merge_mode", ["direct", "shuffle"])
-def test_replay_matches_oracle(ray_session, binlog_dir, oracle_table, tmp_path, merge_mode):
+def test_replay_matches_oracle(ray_session, binlog_dir, oracle_table, tmp_path):
     lake = str(tmp_path / "lake")
     report = replay(binlog_dir, lake, num_buckets=16, files_per_chunk=4,
-                    disorder_bound=DISORDER, merge_mode=merge_mode)
+                    disorder_bound=DISORDER)
     assert report.chunks_applied == 4
     got = _final_sorted(lake)
     assert got.num_rows == oracle_table.num_rows
@@ -158,16 +157,15 @@ def test_schema_evolution_visible(ray_session, binlog_dir, tmp_path):
     assert pc.count(t["tool"], mode="only_valid").as_py() > 0
 
 
-@pytest.mark.parametrize("merge_mode", ["direct", "shuffle"])
 def test_replay_hot_key_salted_matches_oracle(
-    ray_session, binlog_dir, oracle_table, tmp_path, merge_mode
+    ray_session, binlog_dir, oracle_table, tmp_path
 ):
     """Salting spreads a conversation's turns across buckets without
     changing the final table (winner max is associative; bucket is a pure
     function of the key)."""
     lake = str(tmp_path / "lake_salted")
     replay(binlog_dir, lake, num_buckets=16, files_per_chunk=4,
-           disorder_bound=DISORDER, merge_mode=merge_mode, hot_key_salt=4)
+           disorder_bound=DISORDER, hot_key_salt=4)
     assert _final_sorted(lake).equals(oracle_table)
 
 
