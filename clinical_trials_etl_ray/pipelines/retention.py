@@ -342,11 +342,11 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
     from ..functions.bloom import bloom_might_contain
     from ..functions.hashing import hash_strings
     from ..stages.merge import (
+        _candidate_buckets,
         _conv_bloom,
         _conv_minmax,
         _ts_us_minmax,
         _write_immutable,
-        candidate_buckets,
         content_hash,
         scan_buckets,
     )
@@ -358,7 +358,7 @@ def purge_conv(lake_dir: str, conv_id: str) -> PurgeReport:
 
     work: dict[int, list] = {}  # bucket → its files that may contain the key
     kept: dict[int, list] = {}
-    for b in candidate_buckets(conv_id, man.num_buckets, man.salt_factor):
+    for b in _candidate_buckets(key_hash, man.num_buckets, man.salt_factor):
         report.buckets_scanned += 1
         kept[b] = []
         for f in man.files_for_bucket(b):

@@ -17,6 +17,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .merge import driver_dataset
+
 
 def table_to_matrix(t: pa.Table, col: str = "embedding") -> np.ndarray:
     """list<float> column → (n, d) float64 matrix, zero-copy on the values."""
@@ -808,7 +810,7 @@ def ann_topk_ivf_indexed(
                 if f.endswith(".parquet")
             )
     if not paths:
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.table({"qid": pa.array([], pa.int64()),
                       "vec_id": pa.array([], pa.int64()),
                       "cos_sim": pa.array([], pa.float64())})

@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 
 from ..state.manifest import Manifest
 from .lifecycle import refresh_consumer, store_file
-from .merge import live_rows, resolve_bucket
+from .merge import driver_dataset, live_rows, resolve_bucket
 
 MV_SCHEMA = pa.schema(
     [
@@ -388,10 +388,8 @@ def read_matview(mv_dir: str, version: int | None = None):
         if man.schema_ipc:
             from ..schema import schema_from_b64
 
-            return ray.data.from_arrow(
-                schema_from_b64(man.schema_ipc).empty_table()
-            )
-        return ray.data.from_arrow(MV_SCHEMA.empty_table())
+            return driver_dataset(schema_from_b64(man.schema_ipc).empty_table())
+        return driver_dataset(MV_SCHEMA.empty_table())
     # partitioning=None: the bucket=NNNNN layout is lake plumbing, not a
     # hive partition column of the view
     ds = ray.data.read_parquet(paths, partitioning=None)

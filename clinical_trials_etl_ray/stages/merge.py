@@ -334,44 +334,63 @@ def _prune_resolve_files(
     return files
 
 
-def _conv_range_filter(conv_range: tuple | None):
-    """conv_range → a pyarrow.dataset filter expression (or None)."""
+def _conv_range_rows(t: pa.Table, conv_range: tuple | None) -> pa.Table:
+    """The rows of ``t`` whose conv_id lies in ``conv_range=(lo, hi)``
+    (inclusive, either end None-able)."""
     if conv_range is None:
-        return None
-    import pyarrow.dataset as pads
-
+        return t
     lo, hi = conv_range
-    expr = None
     if lo is not None:
-        expr = pads.field("conv_id") >= lo
+        t = t.filter(pc.greater_equal(t["conv_id"], lo))
     if hi is not None:
-        e = pads.field("conv_id") <= hi
-        expr = e if expr is None else expr & e
-    return expr
+        t = t.filter(pc.less_equal(t["conv_id"], hi))
+    return t
+
+
+def _overlapping_row_groups(pf: pq.ParquetFile, conv_range: tuple) -> list:
+    """Row groups of ``pf`` whose conv_id min/max statistics can overlap
+    ``conv_range``; a row group without statistics is always kept."""
+    lo, hi = conv_range
+    md = pf.metadata
+    col = next(
+        (c for c in range(md.num_columns) if md.schema.column(c).path == "conv_id"),
+        None,
+    )
+    keep = []
+    for i in range(md.num_row_groups):
+        stats = None if col is None else md.row_group(i).column(col).statistics
+        if (
+            stats is None
+            or not stats.has_min_max
+            or ((lo is None or stats.max >= lo) and (hi is None or stats.min <= hi))
+        ):
+            keep.append(i)
+    return keep
 
 
 def _read_resolve_file(
     lake_dir: str,
     f: dict,
     needed: list | None,
-    conv_filter,
+    conv_range: tuple | None,
     as_of_lsn: int | None,
     since_lsn: int | None,
 ) -> pa.Table:
     """Read one lake file with projection + pushed filters (shared by the
-    eager resolver and the streaming resolver's unsorted-delta run)."""
-    path = os.path.join(lake_dir, f["path"])
-    # one open serves both the schema (for projection) and the read; the
-    # dataset reader is kept only where it pushes the conv_id range down
-    with pq.ParquetFile(path) as pf:
+    eager resolver and the streaming resolver's unsorted-delta run). One
+    open serves the schema, the row-group statistics and the read: a
+    ``conv_range`` skips the row groups whose conv_id statistics cannot
+    overlap it, and the kept rows are filtered in Arrow."""
+    with pq.ParquetFile(os.path.join(lake_dir, f["path"])) as pf:
         cols = None
         if needed is not None:
             present = set(pf.schema_arrow.names)
             cols = [c for c in needed if c in present]
-        if conv_filter is None:
+        if conv_range is None:
             t = pf.read(columns=cols)
-    if conv_filter is not None:
-        t = pq.read_table(path, columns=cols, filters=conv_filter)
+        else:
+            groups = _overlapping_row_groups(pf, conv_range)
+            t = _conv_range_rows(pf.read_row_groups(groups, columns=cols), conv_range)
     if as_of_lsn is not None and f.get("max_lsn", as_of_lsn) > as_of_lsn:
         t = t.filter(pc.less_equal(t["lsn"], as_of_lsn))
     if since_lsn is not None and f.get("min_lsn", since_lsn) <= since_lsn:
@@ -417,8 +436,8 @@ def resolve_bucket(
     read — safe because every version of a key lives in this bucket and a
     pruned file contains no rows for the surviving keys, so LWW winners are
     unaffected. Files without recorded stats (older manifests) are always
-    read. Within kept files the predicate is ALSO pushed into the Parquet
-    scan (``filters=``): range membership is a function of ``conv_id``
+    read. Within kept files the predicate is ALSO applied before LWW
+    (``_read_resolve_file``): range membership is a function of ``conv_id``
     alone, so dropping out-of-range rows keeps every version of every
     in-range key and LWW winners for them are identical — unlike ``ts``
     predicates, which must stay post-LWW. On compacted (key-sorted) bases
@@ -456,11 +475,9 @@ def resolve_bucket(
     if columns is not None:
         needed = list(dict.fromkeys(list(KEY_COLS) + list(columns)))
 
-    conv_filter = _conv_range_filter(conv_range)
-
     tables = _read_files(
         lambda f: _read_resolve_file(
-            lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
+            lake_dir, f, needed, conv_range, as_of_lsn, since_lsn
         ),
         files,
     )
@@ -541,12 +558,7 @@ def _sorted_file_run(
                 t = t.filter(pc.less_equal(t["lsn"], as_of_lsn))
             if since_lsn is not None and f.get("min_lsn", since_lsn) <= since_lsn:
                 t = t.filter(pc.greater(t["lsn"], since_lsn))
-            if conv_range is not None:
-                lo, hi = conv_range
-                if lo is not None:
-                    t = t.filter(pc.greater_equal(t["conv_id"], lo))
-                if hi is not None:
-                    t = t.filter(pc.less_equal(t["conv_id"], hi))
+            t = _conv_range_rows(t, conv_range)
             if t.num_rows == 0:
                 continue
             t = unify_to_schema(t, target)
@@ -697,10 +709,9 @@ def iter_resolve_bucket(
         stream_rows = max(16_384, (stream_rows * 4) // len(sorted_files))
     runs: list = []
     if unsorted:
-        conv_filter = _conv_range_filter(conv_range)
         tables = _read_files(
             lambda f: _read_resolve_file(
-                lake_dir, f, needed, conv_filter, as_of_lsn, since_lsn
+                lake_dir, f, needed, conv_range, as_of_lsn, since_lsn
             ),
             unsorted,
         )
@@ -742,11 +753,14 @@ def candidate_buckets(
     keys whenever ``num_buckets`` is not a power of two, silently dropping
     the real bucket from point lookups.
     """
-    import numpy as np
-
     from ..functions.hashing import hash_strings
 
-    h = hash_strings([conv_id])  # 1-element uint64 array; array ops wrap silently
+    return _candidate_buckets(int(hash_strings([conv_id])[0]), num_buckets, salt_factor)
+
+
+def _candidate_buckets(key_hash: int, num_buckets: int, salt_factor: int) -> list:
+    """``candidate_buckets`` for an already-hashed key."""
+    h = np.array([key_hash], dtype=np.uint64)  # array ops wrap silently
     if salt_factor <= 1:
         return [int((h % np.uint64(num_buckets))[0])]
     subs = np.arange(salt_factor, dtype=np.uint64)
@@ -791,6 +805,33 @@ def _pack_buckets(weights: dict, n_groups: int) -> list:
     return [sorted(g) for g in groups if g]
 
 
+def driver_dataset(table: pa.Table):
+    """A Dataset of one table already in the driver: one ``ray.put`` block
+    behind a plan that is already executed, so consuming it starts no
+    streaming executor (``ray.data.from_arrow`` runs a metadata task and an
+    executor per consumption). Built the way ``Dataset.materialize()``
+    builds its output; the Ray Data internals it needs live only here."""
+    import ray
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockAccessor
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    meta = BlockAccessor.for_block(table).get_metadata()
+    bundle = RefBundle(((ray.put(table), meta),), owns_blocks=False, schema=table.schema)
+    ctx = DataContext.get_current().copy()
+    ds = MaterializedDataset(
+        ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx),
+        LogicalPlan(InputData(input_data=[bundle]), ctx),
+    )
+    ds._plan.execute()  # no-op that marks the plan as executed
+    return ds
+
+
 def scan_buckets(
     lake_dir: str,
     work: dict,
@@ -815,18 +856,19 @@ def scan_buckets(
     carries only its own buckets' work, never the whole manifest. A plan
     narrowed to one key's candidate buckets (``in_driver``) is smaller than
     Ray Data's own planning and task launch: it runs ``fn`` in the driver
-    and returns ``ray.data.from_arrow``. Both paths run the same ``fn`` and
-    return the same rows; full scans never run in the driver."""
-    import ray.data
-
+    and returns its result as an already-executed ``driver_dataset``, as
+    does a scan with no work. Both paths run the same ``fn`` and return the
+    same rows; full scans never run in the driver."""
     if not work:
-        return ray.data.from_arrow(empty)
+        return driver_dataset(empty)
     if in_driver:
         tables = [t for b in sorted(work) for t in fn(b, work[b]) if t.num_rows]
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.concat_tables(tables, promote_options="default") if tables else empty
         )
     import pickle
+
+    import ray.data
 
     weights = {b: _work_bytes(lake_dir, w) for b, w in work.items()}
     groups = _pack_buckets(weights, min(len(work), _scan_blocks()))
@@ -887,7 +929,9 @@ def read_final_table(
     are resolved by ``scan_buckets``, packed into a few tasks of whole
     buckets, each shipped only its own buckets' file records. A ``conv_id``
     lookup touches only the key's candidate buckets and resolves in the
-    driver, skipping Ray Data's task launch.
+    driver: its result is an already-executed Dataset (``driver_dataset``),
+    so the lookup costs its manifest load (cached per version, see
+    ``Manifest.load``) and resolve, with no Ray Data task or executor.
 
     Predicate pushdown (the secondary-index analog, reference:
     mongodb_storage.py:94-134):
@@ -923,9 +967,19 @@ def read_final_table(
         lake_dir, version
     )
     buckets = range(man.num_buckets)
+    # point-lookup Bloom prune: a file whose Bloom filter rejects the key
+    # provably holds no row of that key (no false negatives), so skipping
+    # it cannot change the key's LWW winner — the same soundness argument
+    # as the conv_range prune in resolve_bucket. Files without a recorded
+    # filter (older manifests) are always read. The one hash also routes
+    # the key to its candidate buckets.
+    key_hash = None
     if conv_id is not None:
+        from ..functions.hashing import hash_strings
+
         conv_range = (conv_id, conv_id)
-        buckets = candidate_buckets(conv_id, man.num_buckets, man.salt_factor)
+        key_hash = int(hash_strings([conv_id])[0])
+        buckets = _candidate_buckets(key_hash, man.num_buckets, man.salt_factor)
 
     # every bucket unifies onto the manifest's COMMITTED schema — a bucket
     # no evolving run touched still emits the evolved columns (null-filled),
@@ -945,17 +999,6 @@ def read_final_table(
     # (b) skip buckets whose EVERY file is entirely above ts_max
     ts_min_us = _to_ts_us(ts_min) if ts_min is not None else None
     ts_max_us = _to_ts_us(ts_max) if ts_max is not None else None
-
-    # point-lookup Bloom prune: a file whose Bloom filter rejects the key
-    # provably holds no row of that key (no false negatives), so skipping
-    # it cannot change the key's LWW winner — the same soundness argument
-    # as the conv_range prune in resolve_bucket. Files without a recorded
-    # filter (older manifests) are always read.
-    key_hash = None
-    if conv_id is not None:
-        from ..functions.hashing import hash_strings
-
-        key_hash = int(hash_strings([conv_id])[0])
 
     def _pruned_files(b: int) -> list:
         files = man.files_for_bucket(b)
@@ -1004,12 +1047,7 @@ def read_final_table(
             from ..schema import unify_to_schema
 
             t = unify_to_schema(t, committed)
-        if conv_range is not None:
-            lo, hi = conv_range
-            if lo is not None:
-                t = t.filter(pc.greater_equal(t["conv_id"], lo))
-            if hi is not None:
-                t = t.filter(pc.less_equal(t["conv_id"], hi))
+        t = _conv_range_rows(t, conv_range)
         # row filters compare in epoch-µs when the predicate converted
         # (accepts datetime / ISO string / int µs uniformly)
         if ts_min is not None:

@@ -42,6 +42,7 @@ from .embed import (
     table_to_matrix,
     topk_per_query,
 )
+from .merge import driver_dataset
 
 
 def pq_train(
@@ -257,7 +258,7 @@ def ann_topk_ivf_pq(
          "cos_sim": pa.array([], pa.float64())}
     )
     if not paths:
-        return ray.data.from_arrow(empty)
+        return driver_dataset(empty)
 
     r = max(k, rerank)
     state = ray.put(
@@ -305,7 +306,7 @@ def ann_topk_ivf_pq(
         list(cands.iter_batches(batch_format="pyarrow")) or [empty]
     )
     if cand_t.num_rows == 0:
-        return ray.data.from_arrow(empty)
+        return driver_dataset(empty)
     cand_ids = sorted(set(cand_t["vec_id"].to_pylist()))
     vecs = pads.dataset(corpus_path, format="parquet").to_table(
         columns=["vec_id", "embedding"],
@@ -328,7 +329,7 @@ def ann_topk_ivf_pq(
     out = pa.Table.from_pandas(
         df.reset_index(drop=True), preserve_index=False
     ).select(["qid", "vec_id", "cos_sim"])
-    return ray.data.from_arrow(out)
+    return driver_dataset(out)
 
 
 def pq_index_add(index_dir: str, embeddings) -> int:

@@ -18,8 +18,11 @@ schema_version, committed watermark per bucket, per-file lineage
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 MANIFEST_DIR = "manifest"
@@ -38,6 +41,59 @@ ORPHAN_TMP_MIN_AGE_SEC = 300.0
 # ``expire_versions`` default) keep 0 — immediate collection — because their
 # contract excludes concurrent writers.
 ORPHAN_DATA_MIN_AGE_SEC = 300.0
+
+
+#: parsed version documents kept by ``_read_doc`` (LRU); a serve-sized
+#: document is ~1k flat file records
+DOC_CACHE_ENTRIES = 4
+
+_doc_cache: OrderedDict = OrderedDict()
+_doc_cache_lock = threading.Lock()
+
+
+def _doc_cache_put(lake_dir: str, version: int, st: os.stat_result, doc: dict) -> None:
+    """Remember the parsed document of one version file. The key is the
+    lake's real path and the version; the file's inode, mtime and size
+    guard against a lake deleted and re-created at the same path."""
+    key = (os.path.realpath(lake_dir), version)
+    with _doc_cache_lock:
+        _doc_cache[key] = ((st.st_ino, st.st_mtime_ns, st.st_size), doc)
+        _doc_cache.move_to_end(key)
+        while len(_doc_cache) > DOC_CACHE_ENTRIES:
+            _doc_cache.popitem(last=False)
+
+
+def _copy_doc(doc: dict) -> dict:
+    """``doc`` with its own copy of every mutable part, so no two loads
+    share a dict or list (file records hold flat JSON scalars, so a
+    per-record ``dict`` copy is a full copy)."""
+    return {
+        **doc,
+        "schema_names": list(doc.get("schema_names", [])),
+        "buckets": {
+            b: {**info, "files": [dict(f) for f in info["files"]]}
+            for b, info in doc.get("buckets", {}).items()
+        },
+        "metrics": copy.deepcopy(doc.get("metrics", {})),
+        "producers": dict(doc.get("producers", {})),
+    }
+
+
+def _read_doc(lake_dir: str, version: int) -> dict:
+    """The parsed document of one version file, from the cache when the
+    file on disk is the one that was parsed. Callers must not mutate it
+    (``Manifest._from_doc`` copies)."""
+    with open(os.path.join(lake_dir, MANIFEST_DIR, f"v{version:06d}.json")) as f:
+        st = os.fstat(f.fileno())
+        key = (os.path.realpath(lake_dir), version)
+        with _doc_cache_lock:
+            hit = _doc_cache.get(key)
+            if hit is not None and hit[0] == (st.st_ino, st.st_mtime_ns, st.st_size):
+                _doc_cache.move_to_end(key)
+                return hit[1]
+        doc = json.load(f)
+    _doc_cache_put(lake_dir, version, st, doc)
+    return doc
 
 
 def bucket_dir(lake_dir: str, bucket: int) -> str:
@@ -162,39 +218,30 @@ class Manifest:
 
     @classmethod
     def load(cls, lake_dir: str) -> "Manifest":
-        # the NEWEST version file is authoritative (its exclusive create IS
-        # the commit); CURRENT is a convenience cache that may lag by one
-        # after a crash between the two writes
+        """The newest committed snapshot. The NEWEST version file is
+        authoritative (its exclusive create IS the commit); CURRENT is a
+        convenience cache that may lag by one after a crash between the two
+        writes. The directory is listed on every call, so a commit from any
+        process is seen at once; the parsed document of that immutable
+        version is reused from a process-local cache (``_read_doc``)."""
         versions = cls._versions_on_disk(lake_dir)
         if not versions:
             raise FileNotFoundError(
                 f"no manifest versions under {lake_dir!r}"
             )
-        version = versions[-1]
-        with open(os.path.join(lake_dir, MANIFEST_DIR, f"v{version:06d}.json")) as f:
-            doc = json.load(f)
-        return cls(
-            lake_dir=lake_dir,
-            version=doc["version"],
-            parent_version=doc.get("parent_version"),
-            num_buckets=doc["num_buckets"],
-            salt_factor=doc.get("salt_factor", 1),
-            schema_version=doc.get("schema_version", 1),
-            schema_names=doc.get("schema_names", []),
-            schema_ipc=doc.get("schema_ipc"),
-            buckets=doc.get("buckets", {}),
-            metrics=doc.get("metrics", {}),
-            producers=doc.get("producers", {}),
-        )
+        return cls._from_doc(lake_dir, _read_doc(lake_dir, versions[-1]))
 
     @classmethod
     def load_version(cls, lake_dir: str, version: int) -> "Manifest":
         """Load a specific (older) manifest snapshot — time travel by
         version. Exact as long as the snapshot's files have not been removed
         by a later ``cleanup_orphans``/compaction cleanup."""
-        path = os.path.join(lake_dir, MANIFEST_DIR, f"v{version:06d}.json")
-        with open(path) as f:
-            doc = json.load(f)
+        return cls._from_doc(lake_dir, _read_doc(lake_dir, version))
+
+    @classmethod
+    def _from_doc(cls, lake_dir: str, doc: dict) -> "Manifest":
+        """A Manifest over its own copy of a version document."""
+        doc = _copy_doc(doc)
         return cls(
             lake_dir=lake_dir,
             version=doc["version"],
@@ -202,11 +249,11 @@ class Manifest:
             num_buckets=doc["num_buckets"],
             salt_factor=doc.get("salt_factor", 1),
             schema_version=doc.get("schema_version", 1),
-            schema_names=doc.get("schema_names", []),
+            schema_names=doc["schema_names"],
             schema_ipc=doc.get("schema_ipc"),
-            buckets=doc.get("buckets", {}),
-            metrics=doc.get("metrics", {}),
-            producers=doc.get("producers", {}),
+            buckets=doc["buckets"],
+            metrics=doc["metrics"],
+            producers=doc["producers"],
         )
 
     @classmethod
@@ -487,10 +534,12 @@ class Manifest:
             "metrics": self.metrics,
             "producers": self.producers,
         }
-        _exclusive_write(
-            os.path.join(mdir, f"v{self.version:06d}.json"),
-            json.dumps(doc, indent=1),
-        )
+        path = os.path.join(mdir, f"v{self.version:06d}.json")
+        _exclusive_write(path, json.dumps(doc, indent=1))
+        # the version file is linked: seed the cache with its document (a
+        # copy; metrics round-trip so they read back exactly as parsed)
+        doc["metrics"] = json.loads(json.dumps(self.metrics))
+        _doc_cache_put(self.lake_dir, self.version, os.stat(path), _copy_doc(doc))
         _atomic_write(os.path.join(mdir, "CURRENT"), str(self.version))
 
     # ---------- maintenance ----------
