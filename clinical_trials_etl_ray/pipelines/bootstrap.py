@@ -23,10 +23,11 @@ input shapes:
   so re-delivered pre-cut chunks are skipped (exactly-once handoff).
 
 Scale shape: one pass of ``map_batches`` over the snapshot (zero-copy
-Arrow) through the SAME prep → direct-delta-writer → manifest-commit path
-as ingest — shuffle-free, partition-aligned, one atomic commit. Additive
-schema evolution applies: snapshot columns beyond the transcript schema
-are carried into the lake's committed schema.
+Arrow) through the SAME delta-write operator as ingest
+(``stages.merge.write_deltas``) and one atomic manifest commit —
+shuffle-free, partition-aligned. Additive schema evolution applies:
+snapshot columns beyond the transcript schema are carried into the lake's
+committed schema.
 
 Reference analog: the reference's bulk first-run scrape → Mongo insert
 (trials_extractor/storage/mongodb_storage.py:154-245) before incremental
@@ -38,8 +39,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import pyarrow as pa
 
 from ..state.manifest import Manifest
 
@@ -72,7 +71,8 @@ def export_snapshot(lake_dir: str, out_dir: str, cut_lsn=None) -> int:
     Implemented as the change feed from the beginning of time to the cut
     (``stages.merge.read_change_feed`` with ``since_lsn=-1`` collapses to
     exactly winners-with-tombstones), written as partitioned Parquet —
-    shuffle-free, one task per bucket."""
+    shuffle-free, buckets packed into cluster-sized ``scan_buckets``
+    blocks."""
     from ..pipelines.retention import _next_oob_lsn
     from ..stages.merge import read_change_feed
 
@@ -94,7 +94,11 @@ def bootstrap_lake(
     base_lsn: int = 0,
     cut_lsn: int | None = None,
 ) -> BootstrapReport:
-    """Create ``lake_dir`` from a snapshot; refuse to touch an existing lake.
+    """Create ``lake_dir`` from a snapshot; refuse a lake that has already
+    committed data. A lake left at its empty version 0 by an interrupted
+    bootstrap (or by any writer that crashed before its first commit) is
+    resumed: the rerun rewrites the same content-hash-named files and
+    commits once.
 
     ``snapshot``: a Parquet path/dir (or a ``ray.data.Dataset``) of either
     input shape (see module docstring). ``cut_lsn``: the log position the
@@ -104,9 +108,9 @@ def bootstrap_lake(
     whose watermark filter skips everything at or below the cut."""
     import ray.data
 
-    from ..stages.merge import file_records, make_direct_delta_writer, prep_batch
+    from ..stages.merge import with_event_columns, write_deltas
 
-    if Manifest.exists(lake_dir):
+    if Manifest.exists(lake_dir) and Manifest.load(lake_dir).version > 0:
         raise ValueError(
             f"{lake_dir} already has a manifest — bootstrap creates lakes; "
             "use replay() to apply changes to an existing one"
@@ -158,36 +162,22 @@ def bootstrap_lake(
 
     man = Manifest.load_or_create(lake_dir, num_buckets, salt_factor=hot_key_salt)
 
-    def to_events(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if "op" not in t.column_names:
-            t = t.append_column("op", pa.array(["insert"] * n, pa.string()))
-        if "lsn" not in t.column_names:
-            t = t.append_column("lsn", pa.array([base_lsn] * n, pa.int64()))
-        return t
-
-    ds = ds.map_batches(to_events, batch_format="pyarrow")
     ds = ds.map_batches(
-        prep_batch,
+        with_event_columns,
         batch_format="pyarrow",
-        fn_kwargs={
-            "num_buckets": num_buckets,
-            "min_lsn_exclusive": -1,
-            "salt_factor": man.salt_factor,
-            "target_schema": target_schema,
-        },
+        fn_kwargs={"op": "insert", "lsn": base_lsn},
     )
-    writer = make_direct_delta_writer(lake_dir, man.watermarks())
-    stats = ds.map_batches(writer, batch_format="pyarrow").take_all()
-
-    new_files = file_records(stats)
+    out = write_deltas(
+        lake_dir, ds, num_buckets=num_buckets, salt_factor=man.salt_factor,
+        target_schema=target_schema, watermarks=man.watermarks(), dedupe=False,
+    )
     report = BootstrapReport(
-        rows_loaded=sum(f["row_count"] for f in new_files),
-        files_written=len(new_files),
+        rows_loaded=out.delta_rows,
+        files_written=len(out.files),
         watermark_lsn=cut_lsn,
     )
     man = man.commit(
-        new_files,
+        out.files,
         new_watermark_lsn=cut_lsn,
         schema_names=list(target_schema.names),
         schema_ipc=schema_to_b64(target_schema),

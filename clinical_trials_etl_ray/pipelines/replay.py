@@ -1,15 +1,14 @@
 """CDC replay driver: chunked LSN-range ingest with atomic commits + resume.
 
 Lifecycle per chunk (SURVEY §3.4):
-  read_parquet(shards) → map_batches(prep: schema-unify + watermark filter +
-  bucket) → map_batches(in-batch LWW dedupe) → map_batches(direct delta
-  writer: one winner delta per (task, bucket), no shuffle) → driver collects
-  the tiny per-(task, bucket) stats table → Manifest.commit (atomic rename)
-  → next chunk.
+  read_parquet(shards) → ``stages.merge.write_deltas`` (prep: schema-unify
+  + bucket → in-batch LWW dedupe → direct delta writer: one winner delta
+  per (task, bucket), no shuffle) → driver collects the tiny
+  per-(task, bucket) stats → Manifest.commit (atomic rename) → next chunk.
 
 Resume: shards whose max LSN ≤ the committed global watermark are skipped at
 the planning step (file-level pruning from parquet stats — no data read);
-straddling shards are row-filtered in prep; the merge re-filters per bucket.
+rows of straddling shards are filtered per bucket by the delta writer.
 Crash between staging and commit leaves unreferenced orphans only.
 
 Constraint (documented, enforced by the chunk planner): out-of-order delivery
@@ -26,13 +25,7 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.dedupe import dedupe_batch
-from ..stages.merge import (
-    compact_bucket,
-    file_records,
-    make_direct_delta_writer,
-    prep_batch,
-)
+from ..stages.merge import compact_bucket, write_deltas
 from ..state.manifest import Manifest
 
 # Serializes DRIVER-SIDE ray.data.read_parquet planning across concurrent
@@ -254,8 +247,8 @@ def replay(
     LSN-ordered WAL). Pass explicitly to override.
 
     Ingest is zero-shuffle: every dedupe task writes per-bucket winner
-    deltas immediately (stages.merge.make_direct_delta_writer); the delta
-    files this leaves behind are folded by ``compact``.
+    deltas immediately (stages.merge.write_deltas); the delta files this
+    leaves behind are folded by ``compact``.
 
     hot_key_salt: spread each conversation's turns over this many buckets
     (deterministic per key; fixed at lake creation, persisted in the
@@ -381,51 +374,19 @@ def replay(
         nblocks = max(len(paths) // 4, min(len(paths), 2 * ncpu), 1)
         with _READ_PLAN_LOCK:
             ds = ray.data.read_parquet(paths, override_num_blocks=nblocks)
-        # Stale rows (lsn ≤ committed watermark) are filtered AT THE WRITER
-        # against each bucket's watermark, not here: the writer's count is
-        # then an exact per-chunk stale_skipped metric, and correctness is
-        # unchanged — a stale row is already represented in the lake, so
-        # even if it beats a fresh same-key row in the in-batch LWW
-        # pre-combine, the read-path LWW resolves the same global winner.
-        ds = ds.map_batches(
-            prep_batch,
-            batch_format="pyarrow",
+        out = write_deltas(
+            lake_dir, ds, num_buckets=num_buckets, salt_factor=man.salt_factor,
+            target_schema=target_schema, watermarks=dict(own_wm), dedupe=True,
             batch_size=batch_size,
-            fn_kwargs={
-                "num_buckets": num_buckets,
-                "min_lsn_exclusive": -1,
-                "salt_factor": man.salt_factor,
-                "target_schema": target_schema,
-            },
         )
-        ds = ds.map_batches(dedupe_batch, batch_format="pyarrow", batch_size=batch_size)
-        writer = make_direct_delta_writer(lake_dir, dict(own_wm))
-        stats = ds.map_batches(
-            writer, batch_format="pyarrow", batch_size=batch_size
-        ).take_all()  # tiny: ≤ one row per (task, bucket)
-
-        new_files = file_records(stats)
-        delta_rows = sum(f["row_count"] for f in new_files)
-        rows_deduped = sum(int(r.get("rows_in") or 0) for r in stats)
-        stale_skipped = sum(int(r.get("stale_skipped") or 0) for r in stats)
+        rows_deduped = out.rows_in
 
         # streaming hot-key monitor (round-4 VERDICT item 4): per-writer
         # top-conv samples sum to a LOWER BOUND on the chunk's hottest key
         # share — unlike detect_hot_key_salt's creation-time sample, this
         # sees every chunk, so a conv that goes viral MID-STREAM is caught.
         # Cost: one value_counts per task batch, already measured in stats.
-        top_counts: dict = {}
-        for r in stats:
-            tc = r.get("top_conv")
-            if tc:
-                top_counts[tc] = top_counts.get(tc, 0) + int(
-                    r.get("top_conv_rows") or 0
-                )
-        hot_key, hot_rows = (None, 0)
-        if top_counts:
-            hot_key = max(top_counts, key=top_counts.get)
-            hot_rows = top_counts[hot_key]
-        hot_share = hot_rows / rows_deduped if rows_deduped else 0.0
+        hot_share = out.hot_rows / rows_deduped if rows_deduped else 0.0
         required_salt = int(np.ceil(hot_share * num_buckets))
         # tiny chunks (corrections, backfills, test fixtures) are all
         # "skewed" by definition — skew is only actionable at volume
@@ -438,9 +399,9 @@ def replay(
             "chunk_max_lsn": chunk_max_lsn,
             "events_read": chunk_rows,
             "rows_deduped": rows_deduped,
-            "stale_skipped": stale_skipped,
-            "delta_rows": delta_rows,
-            "hot_key": hot_key,
+            "stale_skipped": out.stale_skipped,
+            "delta_rows": out.delta_rows,
+            "hot_key": out.hot_key,
             "hot_key_share": round(hot_share, 6),
         }
         if advisory:
@@ -450,7 +411,7 @@ def replay(
             import warnings
 
             warnings.warn(
-                f"hot-key advisory: conv {hot_key!r} carries ≥{hot_share:.1%} "
+                f"hot-key advisory: conv {out.hot_key!r} carries ≥{hot_share:.1%} "
                 f"of this chunk's events (observed lower bound); flattening "
                 f"it needs salt_factor ≥ {required_salt}, lake has "
                 f"{man.salt_factor}. Run rebucket(lake_dir, "
@@ -462,7 +423,7 @@ def replay(
 
         own_new = max(commit_wm, wm_global)
         man = man.commit(
-            new_files,
+            out.files,
             new_watermark_lsn=own_new,
             schema_names=list(target_schema.names),
             schema_ipc=schema_to_b64(target_schema),
@@ -474,8 +435,8 @@ def replay(
         own_wm = {b: max(v, own_new) for b, v in own_wm.items()}
         report.chunks_applied += 1
         report.rows_deduped += rows_deduped
-        report.stale_skipped += stale_skipped
-        report.delta_rows_written += delta_rows
+        report.stale_skipped += out.stale_skipped
+        report.delta_rows_written += out.delta_rows
 
     if legacy_recovery and report.chunks_applied == 0:
         # persist the recovered schema even when every chunk was skipped —
@@ -667,11 +628,11 @@ def sync_replica(
     One sync round: read the feed ``(dst watermark, cut]`` from a pinned
     source manifest snapshot (prunes to files committed since the last
     sync — O(change rate), not O(lake)), route rows through the SAME
-    prep → in-batch-LWW → direct-delta-writer path as ingest, and commit
-    the replica manifest at the cut. Because feed rows are full event rows
-    (op/lsn kept) and LWW is associative, the replica's resolved state
-    equals the source's at every synced cut — regardless of how many syncs
-    the history was split into.
+    delta-write operator as ingest (``stages.merge.write_deltas``, with
+    the in-batch LWW dedupe), and commit the replica manifest at the cut.
+    Because feed rows are full event rows (op/lsn kept) and LWW is
+    associative, the replica's resolved state equals the source's at every
+    synced cut — regardless of how many syncs the history was split into.
 
     ``cut`` picks the sync horizon:
       - "stable" (default): the source's global watermark — the LSN at or
@@ -698,9 +659,6 @@ def sync_replica(
     collection every time (trials_extractor/storage/json_exporter.py);
     this is the incremental replacement at the consumer end.
     """
-    import ray as _ray
-    import ray.data
-
     from ..schema import (
         EVENT_SCHEMA,
         schema_from_b64,
@@ -753,31 +711,13 @@ def sync_replica(
     feed = read_change_feed(
         src_lake, since_lsn=since, until_lsn=until, version=src.version
     )
-    ds = feed.map_batches(
-        prep_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={
-            "num_buckets": dst.num_buckets,
-            "min_lsn_exclusive": -1,  # writer gates per-bucket staleness
-            "salt_factor": dst.salt_factor,
-            "target_schema": target_schema,
-        },
+    out = write_deltas(
+        dst_lake, feed, num_buckets=dst.num_buckets,
+        salt_factor=dst.salt_factor, target_schema=target_schema,
+        watermarks=dst.watermarks(), dedupe=True, batch_size=batch_size,
     )
-    ds = ds.map_batches(
-        dedupe_batch, batch_format="pyarrow", batch_size=batch_size
-    )
-    writer = make_direct_delta_writer(dst_lake, dst.watermarks())
-    stats = ds.map_batches(
-        writer, batch_format="pyarrow", batch_size=batch_size
-    ).take_all()  # tiny: ≤ one row per (task, bucket)
-
-    new_files = file_records(stats)
-    delta_rows = sum(f["row_count"] for f in new_files)
-    rows_deduped = sum(int(r.get("rows_in") or 0) for r in stats)
-    stale_skipped = sum(int(r.get("stale_skipped") or 0) for r in stats)
     dst = dst.commit(
-        new_files,
+        out.files,
         new_watermark_lsn=until,
         schema_names=list(target_schema.names),
         schema_ipc=schema_to_b64(target_schema),
@@ -787,16 +727,16 @@ def sync_replica(
             "src_version": src.version,
             "since_lsn": since,
             "until_lsn": until,
-            "rows_deduped": rows_deduped,
-            "stale_skipped": stale_skipped,
-            "delta_rows": delta_rows,
+            "rows_deduped": out.rows_in,
+            "stale_skipped": out.stale_skipped,
+            "delta_rows": out.delta_rows,
         },
     )
     report.chunks_applied = 1
-    report.events_read = rows_deduped
-    report.rows_deduped = rows_deduped
-    report.stale_skipped = stale_skipped
-    report.delta_rows_written = delta_rows
+    report.events_read = out.rows_in
+    report.rows_deduped = out.rows_in
+    report.stale_skipped = out.stale_skipped
+    report.delta_rows_written = out.delta_rows
     report.final_version = dst.version
     return report
 

@@ -99,63 +99,6 @@ def _next_oob_lsn(man: Manifest) -> int:
     return mx + 1
 
 
-def _write_and_commit(
-    lake_dir: str,
-    man: Manifest,
-    events,
-    metrics: dict,
-    target_schema: pa.Schema | None = None,
-):
-    """Shared out-of-band write tail: prep → direct delta writer → one
-    atomic commit that does NOT advance the watermark (advancing past
-    undelivered producer LSNs would silently stale-drop them; out-of-band
-    rows participate in LWW purely through their (ts, lsn) rank).
-    ``events`` is a Ray Dataset, or an in-memory ``pa.Table`` that is
-    prepped and written right here in the driver — a small correction
-    should not pay for a Ray Data plan. ``target_schema``: pass when the
-    write may carry evolved columns (it is recorded in the commit like
-    replay does). Returns (rows_written, files_written, manifest_or_None)."""
-    from ..stages.merge import file_records, make_direct_delta_writer, prep_batch
-
-    prep_kwargs = {
-        "num_buckets": man.num_buckets,
-        "min_lsn_exclusive": -1,
-        "salt_factor": man.salt_factor,
-        "target_schema": target_schema,
-    }
-    writer = make_direct_delta_writer(lake_dir, man.watermarks())
-    if isinstance(events, pa.Table):
-        stats = writer(prep_batch(events, **prep_kwargs)).to_pylist()
-    else:
-        stats = (
-            events.map_batches(
-                prep_batch, batch_format="pyarrow", fn_kwargs=prep_kwargs
-            )
-            .map_batches(writer, batch_format="pyarrow")
-            .take_all()
-        )
-
-    new_files = file_records(stats)
-    rows = sum(f["row_count"] for f in new_files)
-    if not new_files:
-        return 0, 0, None
-    schema_kwargs = {}
-    if target_schema is not None:
-        from ..schema import schema_to_b64
-
-        schema_kwargs = {
-            "schema_names": list(target_schema.names),
-            "schema_ipc": schema_to_b64(target_schema),
-        }
-    nxt = man.commit(
-        new_files,
-        new_watermark_lsn=man.global_watermark(),
-        metrics=metrics,
-        **schema_kwargs,
-    )
-    return rows, len(new_files), nxt
-
-
 def delete_where(
     lake_dir: str,
     conv_id: str | None = None,
@@ -171,15 +114,15 @@ def delete_where(
     pushdown decodes only (conv_id, turn_idx, ts, lsn, op) from Parquet,
     and every manifest prune (candidate buckets for ``conv_id``, per-file
     conv min/max + Bloom, sound ts file prunes) applies before any I/O.
-    Matched keys flow through the SAME prep → direct-delta-writer →
-    manifest-commit path as ingest: per-bucket immutable content-hash-named
-    tombstone deltas, one atomic commit. The tombstone LSN is the first
-    LSN above every committed row; the watermark is NOT advanced to it
-    (that would stale-drop undelivered producer events in between) — the
-    tombstone outranks current winners purely by (ts, lsn). Exactly-once:
-    a crash before the commit leaves only unreferenced orphans; a re-run
-    recomputes the identical tombstones (same snapshot, same LSN) and the
-    commit publishes once.
+    Matched keys flow through the SAME delta-write operator as ingest
+    (``stages.merge.write_deltas``): per-bucket immutable
+    content-hash-named tombstone deltas, one atomic commit. The tombstone
+    LSN is the first LSN above every committed row; the watermark is NOT
+    advanced to it (that would stale-drop undelivered producer events in
+    between) — the tombstone outranks current winners purely by (ts, lsn).
+    Exactly-once: a crash before the commit leaves only unreferenced
+    orphans; a re-run recomputes the identical tombstones (same snapshot,
+    same LSN) and the commit publishes once.
 
     Semantics: a logical delete of the CURRENT committed snapshot.
     Concurrent ingest racing this commit fails one writer loudly
@@ -190,7 +133,7 @@ def delete_where(
     ``dry_run`` returns the matched-row count without writing anything.
     An empty predicate is refused unless ``allow_full=True`` (truncate).
     """
-    from ..stages.merge import read_final_table
+    from ..stages.merge import read_final_table, write_deltas
 
     if conv_id is None and conv_range is None and ts_min is None and ts_max is None:
         if not allow_full:
@@ -218,22 +161,26 @@ def delete_where(
     ds = matched.map_batches(
         _tombstones, batch_format="pyarrow", fn_kwargs={"lsn": tombstone_lsn}
     )
-    rows, nfiles, nxt = _write_and_commit(
-        lake_dir,
-        man,
-        ds,
-        metrics={
-            "delete_where": {
-                "conv_id": conv_id,
-                "conv_range": list(conv_range) if conv_range else None,
-                "ts_min": str(ts_min) if ts_min is not None else None,
-                "ts_max": str(ts_max) if ts_max is not None else None,
-            },
-        },
+    out = write_deltas(
+        lake_dir, ds, num_buckets=man.num_buckets, salt_factor=man.salt_factor,
+        target_schema=None, watermarks=man.watermarks(), dedupe=False,
     )
-    report.matched_rows = rows
-    report.files_written = nfiles
-    report.final_version = (nxt or man).version
+    if out.files:
+        man = man.commit(
+            out.files,
+            new_watermark_lsn=man.global_watermark(),
+            metrics={
+                "delete_where": {
+                    "conv_id": conv_id,
+                    "conv_range": list(conv_range) if conv_range else None,
+                    "ts_min": str(ts_min) if ts_min is not None else None,
+                    "ts_max": str(ts_max) if ts_max is not None else None,
+                },
+            },
+        )
+    report.matched_rows = out.delta_rows
+    report.files_written = len(out.files)
+    report.final_version = man.version
     return report
 
 
@@ -262,8 +209,9 @@ def upsert_table(lake_dir: str, table, op_default: str = "update") -> UpsertRepo
     out-of-order protection, not a failure.
 
     Same scale/exactly-once shape as ``delete_where``: one shuffle-free
-    pass through the ingest prep → delta-writer → one atomic commit; the
-    watermark does not advance. An in-memory ``pa.Table`` is written from
+    pass through the ingest delta-write operator
+    (``stages.merge.write_deltas``) → one atomic commit; the watermark
+    does not advance. An in-memory ``pa.Table`` is written from
     the driver; paths and Datasets run as a Ray Data ``map_batches`` pass.
     Streams keep flowing: a later producer event with a newer
     ``(ts, lsn)`` updates the corrected row as usual."""
@@ -282,7 +230,8 @@ def upsert_table(lake_dir: str, table, op_default: str = "update") -> UpsertRepo
     # additive evolution: correction columns beyond the committed schema
     # join it (same union rule as replay); committed columns the batch
     # lacks are null-filled by prep
-    from ..schema import schema_from_b64, union_event_schema
+    from ..schema import schema_from_b64, schema_to_b64, union_event_schema
+    from ..stages.merge import with_event_columns, write_deltas
 
     prior = [schema_from_b64(man.schema_ipc)] if man.schema_ipc else []
     target_schema = union_event_schema(prior + [in_schema])
@@ -293,26 +242,29 @@ def upsert_table(lake_dir: str, table, op_default: str = "update") -> UpsertRepo
             "allocated by the engine (use replay() for real change-log data)"
         )
 
-    def to_events(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if "op" not in t.column_names:
-            t = t.append_column("op", pa.array([op_default] * n, pa.string()))
-        return t.append_column("lsn", pa.array([lsn] * n, pa.int64()))
-
+    kw = {"op": op_default, "lsn": lsn}
     events = (
-        to_events(table) if isinstance(table, pa.Table)
-        else table.map_batches(to_events, batch_format="pyarrow")
+        with_event_columns(table, **kw) if isinstance(table, pa.Table)
+        else table.map_batches(
+            with_event_columns, batch_format="pyarrow", fn_kwargs=kw
+        )
     )
-    rows, nfiles, nxt = _write_and_commit(
-        lake_dir,
-        man,
-        events,
-        metrics={"upsert_table": {"lsn": lsn}},
-        target_schema=target_schema,
+    out = write_deltas(
+        lake_dir, events, num_buckets=man.num_buckets,
+        salt_factor=man.salt_factor, target_schema=target_schema,
+        watermarks=man.watermarks(), dedupe=False,
     )
-    report.rows_applied = rows
-    report.files_written = nfiles
-    report.final_version = (nxt or man).version
+    if out.files:
+        man = man.commit(
+            out.files,
+            new_watermark_lsn=man.global_watermark(),
+            schema_names=list(target_schema.names),
+            schema_ipc=schema_to_b64(target_schema),
+            metrics={"upsert_table": {"lsn": lsn}},
+        )
+    report.rows_applied = out.delta_rows
+    report.files_written = len(out.files)
+    report.final_version = man.version
     return report
 
 
@@ -486,8 +438,9 @@ def rebucket(
     One pass, one commit: read every bucket's LWW-collapsed winner rows
     (tombstones included — full event rows, op/lsn kept) via the
     shuffle-free change feed pinned at the current version, re-route them
-    through the SAME prep → in-batch-LWW → direct-delta-writer path as
-    ingest at the new ``(num_buckets, salt_factor)``, and atomically publish
+    through the SAME delta-write operator as ingest
+    (``stages.merge.write_deltas``, with the in-batch LWW dedupe) at the
+    new ``(num_buckets, salt_factor)``, and atomically publish
     a manifest version that swaps the whole layout
     (``lifecycle.layout_commit``). Equivalent by LWW associativity to a
     ``sync_replica`` rebuild into the new layout (pinned by
@@ -509,14 +462,8 @@ def rebucket(
     re-partitioning at all (Mongo re-shards server-side); SURVEY §4 skew
     row."""
     from ..schema import EVENT_SCHEMA, schema_from_b64, union_event_schema
-    from ..stages.dedupe import dedupe_batch
     from ..stages.lifecycle import layout_commit
-    from ..stages.merge import (
-        file_records,
-        make_direct_delta_writer,
-        prep_batch,
-        read_change_feed,
-    )
+    from ..stages.merge import read_change_feed, write_deltas
 
     man = Manifest.load(lake_dir)
     report = RebucketReport(
@@ -536,31 +483,18 @@ def rebucket(
     target_schema = union_event_schema(schemas)
 
     feed = read_change_feed(lake_dir, since_lsn=-1, version=man.version)
-    ds = feed.map_batches(
-        prep_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={
-            "num_buckets": new_num_buckets,
-            "min_lsn_exclusive": -1,
-            "salt_factor": new_salt_factor,
-            "target_schema": target_schema,
-        },
-    )
-    ds = ds.map_batches(dedupe_batch, batch_format="pyarrow", batch_size=batch_size)
     # empty watermark map: every winner row is re-routed (nothing is stale
     # relative to the NEW layout, whose buckets have no committed files yet)
-    writer = make_direct_delta_writer(lake_dir, {})
-    stats = ds.map_batches(
-        writer, batch_format="pyarrow", batch_size=batch_size
-    ).take_all()
-
-    new_files = file_records(stats)
-    report.rows_routed = sum(f["row_count"] for f in new_files)
-    report.files_written = len(new_files)
+    out = write_deltas(
+        lake_dir, feed, num_buckets=new_num_buckets,
+        salt_factor=new_salt_factor, target_schema=target_schema,
+        watermarks={}, dedupe=True, batch_size=batch_size,
+    )
+    report.rows_routed = out.delta_rows
+    report.files_written = len(out.files)
     report.final_version = layout_commit(
         man,
-        new_files,
+        out.files,
         new_num_buckets,
         new_salt_factor,
         {

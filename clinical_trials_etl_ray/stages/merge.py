@@ -1,13 +1,14 @@
 """Per-bucket LWW merge (delta writer), partition-aligned read path, compaction.
 
-Write path (merge-on-read, Hudi/Iceberg-style, shuffle-free):
-  events chunk → (prep: unify schema, add bucket) → in-batch dedupe →
-  ``make_direct_delta_writer``: each task splits its batch by bucket,
-  filters stale LSNs against the broadcast watermark map and writes one
-  immutable content-hash-named winner delta per (task, bucket), returning a
-  tiny stats row each. The driver turns the stats into manifest file
-  records (``file_records``) and commits them atomically
-  (state/manifest.py).
+Write path (merge-on-read, Hudi/Iceberg-style, shuffle-free): every lake
+writer (replay, replica sync, bootstrap, upsert/delete, rebucket) goes
+through ``write_deltas``:
+  events → (prep: unify schema, add bucket) → optional in-batch dedupe →
+  delta writer: each task splits its batch by bucket, filters stale LSNs
+  against the broadcast watermark map and writes one immutable
+  content-hash-named winner delta per (task, bucket), returning a tiny
+  stats row each → manifest file records + counters. The caller commits
+  the records atomically (state/manifest.py).
 
 Read path: the lake is already hash-partitioned by conv_id, so final-table
 resolution needs NO shuffle — each bucket's base+delta files are read, LWW
@@ -27,6 +28,7 @@ partition-local, deterministic, exactly-once merge.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -36,7 +38,7 @@ import pyarrow.parquet as pq
 from ..functions.hashing import content_hash
 from ..schema import EVENT_SCHEMA, TRANSCRIPT_SCHEMA
 from ..state.manifest import bucket_dir
-from .dedupe import lww_winners
+from .dedupe import dedupe_batch, lww_winners
 
 
 def prep_batch(
@@ -200,7 +202,7 @@ def make_direct_delta_writer(lake_dir: str, watermarks: dict):
     down. ``watermarks`` is the small per-bucket watermark dict captured by
     closure (broadcast once in the serialized task spec)."""
 
-    def write_deltas(batch: pa.Table) -> pa.Table:
+    def write_bucket_deltas(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _STATS_SCHEMA.empty_table()
         # hot-key monitor sample: ONE value_counts over the whole (already
@@ -219,7 +221,7 @@ def make_direct_delta_writer(lake_dir: str, watermarks: dict):
             bucket = int(bs[lo])
             sub = t_sorted.slice(lo, hi - lo)
             rows_in = sub.num_rows
-            wm = watermarks.get(bucket, watermarks.get(str(bucket), -1))
+            wm = watermarks.get(bucket, -1)
             sub = sub.filter(pc.greater(sub["lsn"], wm))
             stale = rows_in - sub.num_rows
             if sub.num_rows == 0:
@@ -264,7 +266,7 @@ def make_direct_delta_writer(lake_dir: str, watermarks: dict):
         out[0]["top_conv_rows"] = batch_top_rows
         return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
-    return write_deltas
+    return write_bucket_deltas
 
 
 def file_records(stats) -> list:
@@ -297,6 +299,103 @@ def file_records(stats) -> list:
         for r in stats
         if r["kind"] != "noop"
     ]
+
+
+#: prep's global LSN floor for every writer: none. Stale rows (lsn ≤ the
+#: committed watermark) are filtered at the delta writer against each
+#: bucket's own watermark instead, which makes ``stale_skipped`` an exact
+#: count. Correctness is unchanged: a stale row is already in the lake, so
+#: even if it wins the in-batch pre-combine, the read path resolves the
+#: same global winner.
+_NO_LSN_FLOOR = -1
+
+
+def with_event_columns(t: pa.Table, op: str, lsn: int) -> pa.Table:
+    """A transcript-shaped batch as change events: append ``op`` and
+    ``lsn`` filled with the given constants where the batch lacks them."""
+    n = t.num_rows
+    if "op" not in t.column_names:
+        t = t.append_column("op", pa.array([op] * n, pa.string()))
+    if "lsn" not in t.column_names:
+        t = t.append_column("lsn", pa.array([lsn] * n, pa.int64()))
+    return t
+
+
+@dataclass
+class DeltaWrite:
+    """One ``write_deltas`` pass: the file records to commit and its
+    counters. ``rows_in`` counts rows that reached the writer (after the
+    dedupe); ``(hot_key, hot_rows)`` is the summed per-task top conv_id, a
+    lower bound on the pass's hottest key."""
+
+    files: list
+    rows_in: int
+    stale_skipped: int
+    delta_rows: int
+    hot_key: str | None
+    hot_rows: int
+
+
+def write_deltas(
+    lake_dir: str,
+    events,
+    *,
+    num_buckets: int,
+    salt_factor: int,
+    target_schema: pa.Schema | None,
+    watermarks: dict,
+    dedupe: bool,
+    batch_size: int | None = None,
+) -> DeltaWrite:
+    """The lake's one delta-write operator: prep → (``dedupe``: in-batch
+    LWW) → direct delta writer → manifest file records. It writes
+    immutable files only; the caller publishes them with one commit.
+
+    ``events`` is a Ray Dataset, run as fused ``map_batches`` and one
+    ``take_all`` of the tiny stats (≤ one row per (task, bucket)), or an
+    in-memory ``pa.Table``, prepped and written right here in the driver —
+    a small correction should not pay for a Ray Data plan. ``watermarks``
+    ({bucket: lsn}) gates staleness per bucket. File names are content
+    hashes of the logical rows, so a rerun writes the same files."""
+    prep_kwargs = {
+        "num_buckets": num_buckets,
+        "min_lsn_exclusive": _NO_LSN_FLOOR,
+        "salt_factor": salt_factor,
+        "target_schema": target_schema,
+    }
+    writer = make_direct_delta_writer(lake_dir, watermarks)
+    if isinstance(events, pa.Table):
+        batch = prep_batch(events, **prep_kwargs)
+        stats = writer(dedupe_batch(batch) if dedupe else batch).to_pylist()
+    else:
+        ds = events.map_batches(
+            prep_batch, batch_format="pyarrow", batch_size=batch_size,
+            fn_kwargs=prep_kwargs,
+        )
+        if dedupe:
+            ds = ds.map_batches(
+                dedupe_batch, batch_format="pyarrow", batch_size=batch_size
+            )
+        stats = ds.map_batches(
+            writer, batch_format="pyarrow", batch_size=batch_size
+        ).take_all()
+
+    files = file_records(stats)
+    top: dict = {}
+    for r in stats:
+        if r.get("top_conv"):
+            top[r["top_conv"]] = top.get(r["top_conv"], 0) + int(
+                r.get("top_conv_rows") or 0
+            )
+    hot_key = max(top, key=top.get) if top else None
+    return DeltaWrite(
+        files=files,
+        rows_in=sum(int(r.get("rows_in") or 0) for r in stats),
+        stale_skipped=sum(int(r.get("stale_skipped") or 0) for r in stats),
+        delta_rows=sum(f["row_count"] for f in files),
+        hot_key=hot_key,
+        hot_rows=top.get(hot_key, 0),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,51 @@ def test_bootstrap_carries_evolved_columns(ray_session, tmp_path):
     got = _final(lake)
     assert "score" in got.columns
     assert sorted(got["score"].tolist()) == [0.5, 0.9]
+
+
+def test_bootstrap_resumes_after_crash_before_commit(
+    ray_session, tmp_path, monkeypatch
+):
+    """A bootstrap that dies after publishing the lake's empty version 0
+    (here: a failure injected into ``Manifest.commit``) is resumed by a
+    rerun, which ends exactly where an uninterrupted bootstrap does."""
+    binlog = str(tmp_path / "binlog")
+    spec = BinlogSpec(n_events=3_000, n_convs=30, seed=41, delete_rate=0.1,
+                      shuffle_window=16)
+    write_binlog_shards(spec, binlog, n_shards=2, parallel=False)
+    src = str(tmp_path / "src")
+    replay(binlog, src, num_buckets=4, files_per_chunk=1)
+    snap = str(tmp_path / "snapshot")
+    export_snapshot(src, snap)
+
+    clean = str(tmp_path / "clean")
+    want = bootstrap_lake(snap, clean, num_buckets=4)
+
+    lake = str(tmp_path / "lake")
+    real_commit = Manifest.commit
+
+    def failing_commit(self, *a, **k):
+        raise RuntimeError("injected crash before manifest commit")
+
+    monkeypatch.setattr(Manifest, "commit", failing_commit)
+    with pytest.raises(RuntimeError, match="injected"):
+        bootstrap_lake(snap, lake, num_buckets=4)
+    monkeypatch.setattr(Manifest, "commit", real_commit)
+    assert Manifest.load(lake).version == 0
+
+    got = bootstrap_lake(snap, lake, num_buckets=4)
+    assert got == want
+    pd.testing.assert_frame_equal(_final(lake), _final(clean))
+
+    def records(lake_dir):
+        man = Manifest.load(lake_dir)
+        return sorted(
+            (b, sorted(f.items()))
+            for b in range(man.num_buckets)
+            for f in man.files_for_bucket(b)
+        )
+
+    assert records(lake) == records(clean)
+    # a lake that has committed data is still refused
+    with pytest.raises(ValueError, match="already has a manifest"):
+        bootstrap_lake(snap, lake, num_buckets=4)

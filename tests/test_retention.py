@@ -263,6 +263,55 @@ def test_upsert_table_corrections(lake):
     assert got.iloc[0]["text"] == "fixed"
 
 
+def test_upsert_table_dataset_matches_table_input(lake, tmp_path):
+    """The delta-write operator's two input paths agree: the same
+    correction batch upserted as an in-memory ``pa.Table`` (written in the
+    driver) and as a one-block Ray Dataset (``map_batches``) into two
+    copies of one lake commits identical file records — paths, content
+    hashes, row/LSN/conv/ts stats and Bloom filters."""
+    import json
+    import shutil
+
+    import pyarrow as pa
+    import ray.data
+
+    # one row from each of 12 conversations: the batch spans buckets
+    victims = _final(lake).drop_duplicates("conv_id").head(12)
+    corr = pa.table({
+        "conv_id": pa.array(victims["conv_id"].tolist(), pa.string()),
+        "turn_idx": pa.array(victims["turn_idx"].tolist(), pa.int32()),
+        "role": pa.array(victims["role"].tolist(), pa.string()),
+        "text": pa.array([f"fix {i}" for i in range(12)], pa.string()),
+        "tool": pa.array([None] * 12, pa.string()),
+        "ts": pa.array(victims["ts"].to_numpy()).cast(pa.timestamp("us")),
+    })
+    twin = str(tmp_path / "twin")
+    shutil.copytree(lake, twin)
+
+    rep_table = upsert_table(lake, corr)
+    rep_ds = upsert_table(twin, ray.data.from_arrow(corr))
+    assert rep_table == rep_ds
+    assert rep_table.rows_applied == 12 and rep_table.files_written > 1
+
+    def records(lake_dir):
+        man = Manifest.load(lake_dir)
+        return {
+            json.dumps(f, sort_keys=True)
+            for b in range(man.num_buckets)
+            for f in man.files_for_bucket(b)
+        }
+
+    before = {
+        json.dumps(f, sort_keys=True)
+        for b in range(8)
+        for f in Manifest.load_version(lake, rep_table.final_version - 1)
+        .files_for_bucket(b)
+    }
+    assert len(records(lake) - before) == rep_table.files_written
+    assert records(lake) == records(twin)
+    pd.testing.assert_frame_equal(_final(lake), _final(twin))
+
+
 def test_upsert_table_evolved_column(lake):
     """Correction columns beyond the committed schema evolve it
     additively and survive the read path."""
