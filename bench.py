@@ -106,24 +106,6 @@ def bench_cdc_replay() -> dict:
     sync_dt = time.perf_counter() - t1
     shutil.rmtree(replica, ignore_errors=True)
 
-    # standing eager-vs-streamed final-read pair (round-5 VERDICT item 5):
-    # the 4M-row gate means no default-path bench run exercises
-    # iter_resolve_bucket, so force it here on the same just-built lake
-    # (page-cache-warm for both) and record the wall-time delta each round.
-    t2 = time.perf_counter()
-    n_eager = read_final_table(lake).count()
-    eager_dt = time.perf_counter() - t2
-    os.environ["CTE_STREAM_RESOLVE_MIN_ROWS"] = "1"
-    try:
-        t3 = time.perf_counter()
-        n_streamed = read_final_table(lake).count()
-        streamed_dt = time.perf_counter() - t3
-    finally:
-        del os.environ["CTE_STREAM_RESOLVE_MIN_ROWS"]
-    assert n_streamed == n_eager == n_final, (
-        f"streamed/eager final reads disagree: {n_streamed} vs {n_eager} "
-        f"vs {n_final}"
-    )
     shutil.rmtree(lake, ignore_errors=True)
     return {
         "sec": dt,
@@ -131,8 +113,6 @@ def bench_cdc_replay() -> dict:
         "final_rows": n_final,
         "replica_sync_sec": sync_dt,
         "replica_rows_synced": rep.delta_rows_written,
-        "final_read_eager_sec": eager_dt,
-        "final_read_streamed_sec": streamed_dt,
     }
 
 
@@ -251,10 +231,6 @@ def run_plain() -> dict:
             "final_rows": headline["final_rows"],
             "replica_sync_sec": round(headline["replica_sync_sec"], 3),
             "replica_rows_synced": headline["replica_rows_synced"],
-            "final_read_eager_sec": round(headline["final_read_eager_sec"], 3),
-            "final_read_streamed_sec": round(
-                headline["final_read_streamed_sec"], 3
-            ),
         },
     }
     return out

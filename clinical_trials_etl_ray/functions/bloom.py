@@ -8,7 +8,7 @@ file's distinct key hashes (sized ~10 bits/key, capped at 512 bytes) gives
 a sound skip: Blooms have NO false negatives, so a file whose filter
 rejects the key cannot hold any row of that key, and skipping it cannot
 change the key's LWW winner (same soundness argument as the range prune in
-``stages.merge.resolve_bucket``).
+``stages.merge.iter_resolve_bucket``).
 
 Reference analog: the secondary indexes the reference leans on for point
 reads (trials_extractor/storage/mongodb_storage.py:94-134), rebuilt as

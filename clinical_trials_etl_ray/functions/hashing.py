@@ -79,8 +79,15 @@ def content_hash(table: pa.Table) -> str:
     ] or [(c, "ascending") for c in table.column_names]  # e.g. keyed view
     # aggregates carry none of the canonical columns; any total order works
     idx = pc.sort_indices(table, sort_keys=keys)
-    table = table.take(idx).combine_chunks()
+    return hashlib.sha256(ipc_bytes(table.take(idx))).hexdigest()[:24]
+
+
+def ipc_bytes(table: pa.Table) -> bytes:
+    """The Arrow IPC stream of ``table`` as one record batch
+    (``combine_chunks`` canonicalizes the batch layout first): the bytes
+    every content hash digests, so equal rows give equal bytes."""
+    table = table.combine_chunks()
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, table.schema) as w:
         w.write_table(table)
-    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()[:24]
+    return sink.getvalue().to_pybytes()

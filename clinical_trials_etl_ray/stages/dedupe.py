@@ -29,13 +29,15 @@ _SORT_KEYS = [
 
 def lww_winners(table: pa.Table) -> pa.Table:
     """Vectorized: order by (key, ts, lsn), keep the last row per key.
+    Winners come out in (conv_id, turn_idx) order.
 
     The sort runs as ``np.lexsort`` over integer arrays only — conv_id is
-    dictionary-encoded to int codes first (grouping needs equality, not
-    lexicographic order), ts is viewed as int64 (NaT == INT64_MIN, so any
-    real timestamp beats a null), turn/lsn are ints. This is ~6x cheaper
-    than a multi-column Arrow sort with string comparisons and the dedupe
-    stage is on the hot ingest path.
+    dictionary-encoded to int codes first, and only the distinct ids are
+    sorted as strings, to rank the codes in key order (a null id ranks
+    last); ts is viewed as int64 (NaT == INT64_MIN, so any real timestamp
+    beats a null), turn/lsn are ints. This is ~6x cheaper than a
+    multi-column Arrow sort with string comparisons and the dedupe stage
+    is on the hot ingest path.
 
     Handles duplicate delivery too (identical (key, ts, lsn) rows collapse
     to one).
@@ -43,8 +45,13 @@ def lww_winners(table: pa.Table) -> pa.Table:
     n = table.num_rows
     if n <= 1:
         return table
-    conv = table.column("conv_id").combine_chunks()
-    codes = pc.dictionary_encode(conv).indices.to_numpy(zero_copy_only=False)
+    enc = pc.dictionary_encode(table.column("conv_id").combine_chunks())
+    k = len(enc.dictionary)
+    rank = np.empty(k + 1, dtype=np.int64)
+    rank[pc.array_sort_indices(enc.dictionary).to_numpy()] = np.arange(k)
+    rank[k] = k
+    idx = enc.indices if enc.indices.null_count == 0 else enc.indices.fill_null(k)
+    codes = rank[idx.to_numpy()]
     turn = table.column("turn_idx").combine_chunks().to_numpy(zero_copy_only=False)
     ts_i = (
         table.column("ts")

@@ -51,6 +51,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..functions.hashing import ipc_bytes
 from ..state.manifest import Manifest
 from .dedup_text import BandExploder, MinHasher
 from .lifecycle import (
@@ -108,16 +109,12 @@ def _params(man: Manifest) -> tuple:
 
 
 def _ipc_hash(table: pa.Table) -> str:
-    """Content hash of a table via its Arrow IPC stream bytes — the same
-    scheme as merge._compact_bucket_streaming. Deterministic for equal
-    content (``combine_chunks`` canonicalizes the batch layout first) and
-    zero-copy-ish: no pandas conversion, no text rendering (a numpy repr
-    of a list column truncates, so rendered names would collide)."""
-    t = table.combine_chunks()
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, t.schema) as w:
-        w.write_table(t)
-    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()[:16]
+    """Content hash of a table via its Arrow IPC stream bytes
+    (``functions.hashing.ipc_bytes``, the bytes lake compaction names its
+    files by). Deterministic for equal content and zero-copy-ish: no
+    pandas conversion, no text rendering (a numpy repr of a list column
+    truncates, so rendered names would collide)."""
+    return hashlib.sha256(ipc_bytes(table)).hexdigest()[:16]
 
 
 def _table_info(

@@ -155,9 +155,8 @@ def _to_ts_us(value) -> int | None:
 #: generations coexist and readers need no configuration. zstd roughly
 #: halves text-heavy payload bytes vs snappy at comparable decode speed —
 #: at transcript scale the lake IS text, so storage AND every downstream
-#: read/compact/export pays the snappy premium twice. Override with
-#: CTE_LAKE_COMPRESSION=snappy for CPU-bound single-node ingest.
-LAKE_COMPRESSION = os.environ.get("CTE_LAKE_COMPRESSION", "zstd")
+#: read/compact/export pays the snappy premium twice.
+LAKE_COMPRESSION = "zstd"
 
 #: rows per Parquet row group in lake files. The conv-predicate scan
 #: pushdown prunes at ROW-GROUP granularity via column statistics, and a
@@ -165,7 +164,7 @@ LAKE_COMPRESSION = os.environ.get("CTE_LAKE_COMPRESSION", "zstd")
 #: parquet's 1Mi-row default would leave point lookups decoding ~1M rows
 #: per hit. 256k keeps pruning fine-grained at negligible metadata cost;
 #: small deltas (< one group) are unaffected.
-LAKE_ROW_GROUP_SIZE = int(os.environ.get("CTE_LAKE_ROW_GROUP_SIZE", "262144"))
+LAKE_ROW_GROUP_SIZE = 262_144
 
 
 def _write_immutable(table: pa.Table, directory: str, name: str) -> str:
@@ -414,8 +413,8 @@ def _prune_resolve_files(
     since_lsn: int | None = None,
     conv_range: tuple | None = None,
 ) -> list:
-    """Manifest-stats file pruning shared by the eager and streaming
-    resolvers (soundness arguments in ``resolve_bucket``'s docstring)."""
+    """The resolver's manifest-stats file pruning (soundness arguments in
+    ``iter_resolve_bucket``'s docstring)."""
     if as_of_lsn is not None:
         files = [f for f in files if f.get("min_lsn", 0) <= as_of_lsn]
     if since_lsn is not None:
@@ -475,11 +474,11 @@ def _read_resolve_file(
     as_of_lsn: int | None,
     since_lsn: int | None,
 ) -> pa.Table:
-    """Read one lake file with projection + pushed filters (shared by the
-    eager resolver and the streaming resolver's unsorted-delta run). One
-    open serves the schema, the row-group statistics and the read: a
-    ``conv_range`` skips the row groups whose conv_id statistics cannot
-    overlap it, and the kept rows are filtered in Arrow."""
+    """Read one lake file whole, with projection + pushed filters: a file
+    of the resolver's in-memory run. One open serves the schema, the
+    row-group statistics and the read: a ``conv_range`` skips the row
+    groups whose conv_id statistics cannot overlap it, and the kept rows
+    are filtered in Arrow."""
     with pq.ParquetFile(os.path.join(lake_dir, f["path"])) as pf:
         cols = None
         if needed is not None:
@@ -510,107 +509,8 @@ def _read_files(read, files: list) -> list:
         return list(ex.map(read, files))
 
 
-def resolve_bucket(
-    lake_dir: str,
-    bucket: int,
-    files: list,
-    as_of_lsn: int | None = None,
-    conv_range: tuple | None = None,
-    since_lsn: int | None = None,
-    columns: list | None = None,
-) -> pa.Table:
-    """Read one bucket's base+delta files and resolve LWW winners.
-
-    ``since_lsn`` (exclusive lower bound) restricts to rows with
-    lsn > since_lsn — files whose manifest ``max_lsn`` ≤ since_lsn are
-    pruned unread. Combined with ``as_of_lsn`` this yields the net-change
-    window (since, as_of]; see ``read_change_feed``.
-
-    Returns full event-payload rows (incl. op/lsn) — tombstones still present.
-    Schema evolution across file generations is handled by unifying every
-    file onto EVENT_SCHEMA (null-fill for files written pre-`tool`).
-
-    ``conv_range=(lo, hi)`` (inclusive, either end None-able) prunes files
-    whose manifest conv_id min/max cannot overlap the predicate BEFORE any
-    read — safe because every version of a key lives in this bucket and a
-    pruned file contains no rows for the surviving keys, so LWW winners are
-    unaffected. Files without recorded stats (older manifests) are always
-    read. Within kept files the predicate is ALSO applied before LWW
-    (``_read_resolve_file``): range membership is a function of ``conv_id``
-    alone, so dropping out-of-range rows keeps every version of every
-    in-range key and LWW winners for them are identical — unlike ``ts``
-    predicates, which must stay post-LWW. On compacted (key-sorted) bases
-    this skips whole row groups via column statistics; the caller's
-    post-LWW filter remains as a harmless no-op.
-
-    ``as_of_lsn`` gives time travel: files are pruned by their manifest
-    ``min_lsn`` (no read) and rows filtered to ``lsn <= as_of_lsn`` before
-    LWW. EXACT when the cut cleanly separates delivered batches — for an
-    LSN-ordered log (disorder 0), any chunk watermark qualifies. With
-    out-of-order delivery it is best-effort near chunk tails: ingest writes
-    winner deltas, so a row at or below the cut that was superseded (by
-    LWW on (ts, lsn)) within the same batch by a row above the cut is
-    already collapsed — the same trade as compaction, at batch granularity.
-    For exact snapshots of any committed state use
-    ``read_final_table(version=...)``.
-
-    ``columns``: projection pushdown — only these payload columns (plus the
-    LWW-required ``KEY_COLS``) are decoded from Parquet. At transcript scale
-    the ``text`` column IS the table; an aggregate over roles or a turn
-    count should not move it off disk. LWW semantics are unaffected: the
-    winner is decided entirely by KEY_COLS, which are always read. Columns
-    a given file generation lacks (schema evolution) are skipped at that
-    file and null-filled by the schema unification below.
-
-    Direct-mode ingest leaves MANY small delta files per bucket between
-    compactions; on a multi-CPU worker they are read over a thread pool
-    (``_read_files``) so per-file open/decode latency overlaps instead of
-    serializing."""
-    files = _prune_resolve_files(files, as_of_lsn, since_lsn, conv_range)
-    if not files:
-        return EVENT_SCHEMA.empty_table()
-
-    needed = None
-    if columns is not None:
-        needed = list(dict.fromkeys(list(KEY_COLS) + list(columns)))
-
-    tables = _read_files(
-        lambda f: _read_resolve_file(
-            lake_dir, f, needed, conv_range, as_of_lsn, since_lsn
-        ),
-        files,
-    )
-    # unify every file generation onto the union of their schemas (older
-    # files null-fill columns added later, nested types included)
-    from ..schema import unify_to_schema, union_event_schema
-
-    target = union_event_schema([t.schema for t in tables])
-    if needed is not None:
-        # the union floors to full EVENT_SCHEMA (null-filling the columns
-        # projection skipped — cheap Arrow null arrays, never decoded);
-        # project back down so callers see exactly key + requested columns
-        target = pa.schema([f for f in target if f.name in needed])
-    return lww_winners(pa.concat_tables([unify_to_schema(t, target) for t in tables]))
-
-
-# ---------------------------------------------------------------------------
-# Streaming (bounded-memory) bucket resolution — the 100-TB read path
-# ---------------------------------------------------------------------------
-
-#: buckets whose SORTED files hold at least this many rows resolve via the
-#: streaming k-way merge in ``read_final_table`` (eager below it — the
-#: in-memory path is faster for small buckets). Override with
-#: CTE_STREAM_RESOLVE_MIN_ROWS.
-STREAM_RESOLVE_MIN_ROWS = 4_000_000
-
-#: parquet read granularity of one streaming run (rows per batch)
+#: parquet read granularity of one sorted-file run (rows per batch)
 STREAM_RESOLVE_BATCH_ROWS = 262_144
-
-
-def stream_resolve_min_rows() -> int:
-    return int(
-        os.environ.get("CTE_STREAM_RESOLVE_MIN_ROWS", str(STREAM_RESOLVE_MIN_ROWS))
-    )
 
 
 def _merge_key(t: pa.Table) -> pa.Array:
@@ -632,127 +532,187 @@ def _merge_key(t: pa.Table) -> pa.Array:
     return k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k
 
 
+def _keyed(t: pa.Table) -> pa.Table:
+    return t.append_column("__key", _merge_key(t))
+
+
 def _sorted_file_run(
-    lake_dir: str,
+    pf: pq.ParquetFile,
     f: dict,
     needed: list | None,
     target: pa.Schema,
     as_of_lsn: int | None,
     since_lsn: int | None,
-    conv_range: tuple | None,
     batch_rows: int,
 ):
-    """Generator over one key-sorted lake file: unified, filtered,
+    """Generator over one open key-sorted lake file: unified, filtered,
     ``__key``-tagged batches in key order. Never holds more than one parquet
     batch (~``batch_rows`` rows) in memory."""
     from ..schema import unify_to_schema
 
-    pf = pq.ParquetFile(os.path.join(lake_dir, f["path"]))
-    try:
-        names = set(pf.schema_arrow.names)
-        cols = [c for c in needed if c in names] if needed is not None else None
-        for rb in pf.iter_batches(batch_size=batch_rows, columns=cols):
-            t = pa.Table.from_batches([rb])
-            if as_of_lsn is not None and f.get("max_lsn", as_of_lsn) > as_of_lsn:
-                t = t.filter(pc.less_equal(t["lsn"], as_of_lsn))
-            if since_lsn is not None and f.get("min_lsn", since_lsn) <= since_lsn:
-                t = t.filter(pc.greater(t["lsn"], since_lsn))
-            t = _conv_range_rows(t, conv_range)
-            if t.num_rows == 0:
-                continue
-            t = unify_to_schema(t, target)
-            yield t.append_column("__key", _merge_key(t))
-    finally:
-        pf.close()
+    names = set(pf.schema_arrow.names)
+    cols = [c for c in needed if c in names] if needed is not None else None
+    for rb in pf.iter_batches(batch_size=batch_rows, columns=cols):
+        t = pa.Table.from_batches([rb])
+        if as_of_lsn is not None and f.get("max_lsn", as_of_lsn) > as_of_lsn:
+            t = t.filter(pc.less_equal(t["lsn"], as_of_lsn))
+        if since_lsn is not None and f.get("min_lsn", since_lsn) <= since_lsn:
+            t = t.filter(pc.greater(t["lsn"], since_lsn))
+        if t.num_rows:
+            yield _keyed(unify_to_schema(t, target))
 
 
-def _kway_merge_lww(runs: list, stats: dict | None = None):
-    """K-way merge of key-sorted ``__key``-tagged runs → LWW winner slabs in
-    key order, bounded memory.
+def _aligned_slices(runs: list, stats: dict | None = None):
+    """Safe-boundary merge of key-sorted ``__key``-tagged runs: yields, for
+    each successive key range, every run's slice of that range (``None``
+    where a run has no row in it), in key order, in bounded memory.
 
-    Invariant: a slab is emitted only below ``safe`` = min over non-exhausted
-    runs of their buffered max key, so every version of a key meets in
-    exactly ONE slab and per-slab ``lww_winners`` equals the global LWW
-    (associativity). Peak rows held = sum of run buffers (~one parquet batch
-    per sorted run + the in-memory delta run), never the bucket.
-    ``stats['peak_rows']`` records the observed maximum."""
+    Invariant: a range ends below ``safe`` = min over non-exhausted runs of
+    their buffered max key, so a key below it cannot appear again in any
+    run and all of a key's rows meet in exactly ONE range. Peak rows held =
+    sum of run buffers (~one parquet batch per sorted run + the in-memory
+    run), never the bucket. ``stats['peak_rows']`` records the observed
+    maximum."""
     k = len(runs)
     iters = [iter(r) for r in runs]
     bufs: list = [None] * k
     done = [False] * k
 
-    def refill(i) -> bool:
-        while True:
-            try:
-                t = next(iters[i])
-            except StopIteration:
-                done[i] = True
-                return False
+    def refill(i) -> None:
+        for t in iters[i]:
             if t.num_rows:
-                bufs[i] = (
-                    t
-                    if bufs[i] is None or bufs[i].num_rows == 0
-                    else pa.concat_tables([bufs[i], t])
-                )
-                return True
+                bufs[i] = t if bufs[i] is None else pa.concat_tables([bufs[i], t])
+                return
+        done[i] = True
 
-    for i in range(k):
-        refill(i)
     while True:
+        # every live run holds a non-empty buffer (or is exhausted)
         for i in range(k):
-            if not done[i] and (bufs[i] is None or bufs[i].num_rows == 0):
+            if not done[i] and bufs[i] is None:
                 refill(i)
-        have = [i for i in range(k) if bufs[i] is not None and bufs[i].num_rows]
         active = [i for i in range(k) if not done[i]]
         if stats is not None:
-            held = sum(bufs[i].num_rows for i in have)
-            if held > stats.get("peak_rows", 0):
-                stats["peak_rows"] = held
-        if not have:
-            if not active:
-                return
-            continue
-        if active:
-            safe = min(bufs[i]["__key"][-1].as_py() for i in active)
-            emit = []
-            total_emit = 0
-            for i in have:
-                n_lt = int(
-                    pc.sum(
-                        pc.cast(pc.less(bufs[i]["__key"], safe), pa.int64())
-                    ).as_py()
-                    or 0
-                )
-                if n_lt == 0:
-                    continue
-                # buffers are key-sorted → the emit set is a zero-copy prefix
-                emit.append(bufs[i].slice(0, n_lt))
-                bufs[i] = (
-                    None if n_lt == bufs[i].num_rows else bufs[i].slice(n_lt)
-                )
-                total_emit += n_lt
-            if total_emit == 0:
-                # every buffered key equals ``safe`` — extend the runs that
-                # could still produce it (progress: each refill advances or
-                # exhausts a run, so the loop terminates)
-                for i in active:
-                    if (
-                        bufs[i] is None
-                        or bufs[i].num_rows == 0
-                        or bufs[i]["__key"][-1].as_py() == safe
-                    ):
-                        refill(i)
-                continue
-        else:
-            emit = [bufs[i] for i in have]
-            for i in have:
-                bufs[i] = None
-        slab = pa.concat_tables(emit)
-        w = lww_winners(slab)
-        yield w.take(pc.sort_indices(w, sort_keys=[("__key", "ascending")]))
+            held = sum(b.num_rows for b in bufs if b is not None)
+            stats["peak_rows"] = max(stats.get("peak_rows", 0), held)
         if not active:
-            if all(b is None or b.num_rows == 0 for b in bufs):
-                return
+            if any(b is not None for b in bufs):
+                yield bufs  # every run exhausted: the rest is one range
+            return
+        safe = min(bufs[i]["__key"][-1].as_py() for i in active)
+        out: list = [None] * k
+        for i in range(k):
+            if bufs[i] is None:
+                continue
+            # buffers are key-sorted → the slice is a zero-copy prefix
+            n_lt = int(
+                pc.sum(pc.cast(pc.less(bufs[i]["__key"], safe), pa.int64())).as_py()
+                or 0
+            )
+            if n_lt:
+                out[i] = bufs[i].slice(0, n_lt)
+                bufs[i] = None if n_lt == bufs[i].num_rows else bufs[i].slice(n_lt)
+        if any(s is not None for s in out):
+            yield out
+        else:
+            # every buffered key equals ``safe``: extend the runs that could
+            # still produce it (each refill advances or exhausts a run, so
+            # the loop terminates)
+            for i in active:
+                if bufs[i]["__key"][-1].as_py() == safe:
+                    refill(i)
+
+
+def _resolve(
+    lake_dir, files, as_of_lsn, conv_range, since_lsn, columns, stream_rows, stats
+):
+    """``iter_resolve_bucket``'s body, as a generator whose first item is
+    the winners' schema (so ``resolve_bucket`` can type an empty result),
+    followed by the winner slabs."""
+    from ..schema import unify_to_schema, union_event_schema
+
+    files = _prune_resolve_files(files, as_of_lsn, since_lsn, conv_range)
+    if not files:
+        yield EVENT_SCHEMA
+        return
+    needed = None
+    if columns is not None:
+        needed = list(dict.fromkeys(list(KEY_COLS) + list(columns)))
+    # total buffered rows ≈ (#sorted runs × stream_rows): a bucket that
+    # accumulated many sorted generations (repeated minor compactions
+    # without a major fold) scales each run's batch DOWN so the merge's
+    # working set stays ~4×stream_rows regardless of k. Any batch size is
+    # correct (the safe-boundary rule is size-agnostic).
+    n_sorted = sum(1 for f in files if f.get("sorted"))
+    if n_sorted > 4:
+        stream_rows = max(16_384, (stream_rows * 4) // n_sorted)
+
+    def streams(f: dict) -> bool:
+        # a sorted file of at most one batch is read whole (streaming it
+        # would hold the same rows), and a range read takes a sorted
+        # file's overlapping row groups in one read (``_read_resolve_file``)
+        return (
+            bool(f.get("sorted"))
+            and conv_range is None
+            and (f.get("row_count") is None or f["row_count"] > stream_rows)
+        )
+
+    streamed = [f for f in files if streams(f)]
+    whole = [f for f in files if not streams(f)]
+    tables = dict(zip(
+        (f["path"] for f in whole),
+        _read_files(
+            lambda f: _read_resolve_file(
+                lake_dir, f, needed, conv_range, as_of_lsn, since_lsn
+            ),
+            whole,
+        ),
+    ))
+    pfs: dict = {}
+    try:
+        for f in streamed:
+            pfs[f["path"]] = pq.ParquetFile(os.path.join(lake_dir, f["path"]))
+        # every file generation unifies onto the union of their schemas, in
+        # file order (older files null-fill columns added later, nested
+        # types included); each file is opened exactly once
+        target = union_event_schema([
+            tables[f["path"]].schema if f["path"] in tables
+            else pfs[f["path"]].schema_arrow
+            for f in files
+        ])
+        if needed is not None:
+            # the union floors to full EVENT_SCHEMA; project back down so
+            # callers see exactly key + requested columns
+            target = pa.schema([fld for fld in target if fld.name in needed])
+        yield target
+
+        mem = None
+        if tables:
+            mem = lww_winners(
+                pa.concat_tables([unify_to_schema(t, target) for t in tables.values()])
+            )
+        if not pfs:
+            # no streamed run: the in-memory run (LWW winners come out in
+            # (conv_id, turn_idx) order, the ``_merge_key`` order) is the slab
+            if stats is not None:
+                stats["peak_rows"] = max(stats.get("peak_rows", 0), mem.num_rows)
+            if mem.num_rows:
+                yield mem
+            return
+        runs: list = []
+        if mem is not None and mem.num_rows:
+            runs.append([_keyed(mem)])
+        runs += [
+            _sorted_file_run(
+                pfs[f["path"]], f, needed, target, as_of_lsn, since_lsn, stream_rows
+            )
+            for f in streamed
+        ]
+        for slices in _aligned_slices(runs, stats):
+            w = lww_winners(pa.concat_tables([s for s in slices if s is not None]))
+            yield w.drop_columns(["__key"])
+    finally:
+        for pf in pfs.values():
+            pf.close()
 
 
 def iter_resolve_bucket(
@@ -766,71 +726,101 @@ def iter_resolve_bucket(
     stream_rows: int = STREAM_RESOLVE_BATCH_ROWS,
     stats: dict | None = None,
 ):
-    """Bounded-memory streaming variant of ``resolve_bucket``: yields LWW
-    winner slabs in (conv_id, turn_idx) order instead of materializing the
-    whole bucket.
+    """The lake's one bucket resolver: read one bucket's base+delta files
+    and yield its LWW winners as slabs in (conv_id, turn_idx) order, in
+    bounded memory.
+
+    Winners are full event-payload rows (incl. op/lsn) — tombstones still
+    present. Schema evolution across file generations is handled by
+    unifying every file onto the union of their schemas (null-fill for
+    files written before a column existed).
 
     Files flagged ``sorted`` in the manifest (compaction output — bases and
     consolidated deltas are written key-sorted, ``compact_bucket``) stream
-    as k-way merge runs at ``stream_rows`` granularity; unsorted files (raw
-    ingest deltas — O(data since last compaction), NOT O(bucket)) are
-    resolved in memory into one sorted run. Peak memory is therefore
-    ~(k_sorted × stream_rows + unsorted delta rows + one emit slab) rows —
-    a bucket that outgrew the worker heap resolves as long as compaction
-    runs at any cadence. Winner set is identical to ``resolve_bucket``
-    (pinned by tests/test_stream_resolve.py); same filter/projection
-    semantics. Reference analog: Mongo never holds a partition in RAM
+    as k-way merge runs at ``stream_rows`` granularity; every other file
+    (raw ingest deltas — O(data since last compaction), NOT O(bucket)) is
+    read whole into one in-memory LWW run (``lww_winners`` emits winners
+    in key order), and so are a sorted file of at most one stream batch
+    and a sorted file's slice under ``conv_range``. With no streamed run,
+    the in-memory run is the one slab. Otherwise a
+    slab is emitted only below every unexhausted run's buffered max key
+    (``_aligned_slices``), so all versions of a key meet in ONE slab and
+    per-slab LWW equals the global LWW (associativity). Peak memory is
+    ~(k_sorted × stream_rows + unsorted delta rows + one slab) rows — a
+    bucket that outgrew the worker heap resolves as long as compaction
+    runs at any cadence. ``stats['peak_rows']`` records the rows held.
+    Each file is opened once.
+
+    ``since_lsn`` (exclusive lower bound) restricts to rows with
+    lsn > since_lsn — files whose manifest ``max_lsn`` ≤ since_lsn are
+    pruned unread. Combined with ``as_of_lsn`` this yields the net-change
+    window (since, as_of]; see ``read_change_feed``.
+
+    ``conv_range=(lo, hi)`` (inclusive, either end None-able) prunes files
+    whose manifest conv_id min/max cannot overlap the predicate BEFORE any
+    read — safe because every version of a key lives in this bucket and a
+    pruned file contains no rows for the surviving keys, so LWW winners are
+    unaffected. Files without recorded stats (older manifests) are always
+    read. Within kept files the predicate is ALSO applied before LWW
+    (``_read_resolve_file``): range membership is a function of ``conv_id``
+    alone, so dropping out-of-range rows keeps every version of every
+    in-range key and LWW winners for them are identical — unlike ``ts``
+    predicates, which must stay post-LWW. On sorted files this reads only
+    the row groups whose conv_id statistics overlap the range, in one read;
+    the caller's post-LWW filter remains as a harmless no-op.
+
+    ``as_of_lsn`` gives time travel: files are pruned by their manifest
+    ``min_lsn`` (no read) and rows filtered to ``lsn <= as_of_lsn`` before
+    LWW. EXACT when the cut cleanly separates delivered batches — for an
+    LSN-ordered log (disorder 0), any chunk watermark qualifies. With
+    out-of-order delivery it is best-effort near chunk tails: ingest writes
+    winner deltas, so a row at or below the cut that was superseded (by
+    LWW on (ts, lsn)) within the same batch by a row above the cut is
+    already collapsed — the same trade as compaction, at batch granularity.
+    For exact snapshots of any committed state use
+    ``read_final_table(version=...)``.
+
+    ``columns``: projection pushdown — only these payload columns (plus the
+    LWW-required ``KEY_COLS``) are decoded from Parquet. At transcript scale
+    the ``text`` column IS the table; an aggregate over roles or a turn
+    count should not move it off disk. LWW semantics are unaffected: the
+    winner is decided entirely by KEY_COLS, which are always read. Columns
+    a given file generation lacks (schema evolution) are skipped at that
+    file and null-filled by the schema unification.
+
+    Ingest leaves MANY small delta files per bucket between compactions; on
+    a multi-CPU worker they are read over a thread pool (``_read_files``) so
+    per-file open/decode latency overlaps instead of serializing.
+    Reference analog: Mongo never holds a partition in RAM
     (storage/mongodb_storage.py:204-245 is per-document); this is the
     partition-local equivalent for the lake read."""
-    from ..schema import unify_to_schema, union_event_schema
-
-    files = _prune_resolve_files(files, as_of_lsn, since_lsn, conv_range)
-    if not files:
-        return
-    needed = None
-    if columns is not None:
-        needed = list(dict.fromkeys(list(KEY_COLS) + list(columns)))
-    target = union_event_schema(
-        [pq.read_schema(os.path.join(lake_dir, f["path"])) for f in files]
+    slabs = _resolve(
+        lake_dir, files, as_of_lsn, conv_range, since_lsn, columns, stream_rows, stats
     )
-    if needed is not None:
-        target = pa.schema([fld for fld in target if fld.name in needed])
+    next(slabs)  # the schema
+    yield from slabs
 
-    sorted_files = [f for f in files if f.get("sorted")]
-    unsorted = [f for f in files if not f.get("sorted")]
-    # total buffered rows ≈ (#sorted runs × stream_rows): a bucket that
-    # accumulated many sorted generations (repeated minor compactions
-    # without a major fold) scales each run's batch DOWN so the merge's
-    # working set stays ~4×stream_rows regardless of k. Any batch size is
-    # correct (the safe-boundary rule is size-agnostic); this only bounds
-    # memory.
-    if len(sorted_files) > 4:
-        stream_rows = max(16_384, (stream_rows * 4) // len(sorted_files))
-    runs: list = []
-    if unsorted:
-        tables = _read_files(
-            lambda f: _read_resolve_file(
-                lake_dir, f, needed, conv_range, as_of_lsn, since_lsn
-            ),
-            unsorted,
-        )
-        mem = pa.concat_tables([unify_to_schema(t, target) for t in tables])
-        mem = lww_winners(mem)
-        if mem.num_rows:
-            mem = mem.append_column("__key", _merge_key(mem))
-            mem = mem.take(pc.sort_indices(mem, sort_keys=[("__key", "ascending")]))
-            runs.append(iter((mem,)))
-    for f in sorted_files:
-        runs.append(
-            _sorted_file_run(
-                lake_dir, f, needed, target, as_of_lsn, since_lsn,
-                conv_range, stream_rows,
-            )
-        )
-    if not runs:
-        return
-    for w in _kway_merge_lww(runs, stats=stats):
-        yield w.drop_columns(["__key"])
+
+def resolve_bucket(
+    lake_dir: str,
+    bucket: int,
+    files: list,
+    as_of_lsn: int | None = None,
+    conv_range: tuple | None = None,
+    since_lsn: int | None = None,
+    columns: list | None = None,
+) -> pa.Table:
+    """One bucket's LWW winners as one table: the concatenation of
+    ``iter_resolve_bucket``'s key-ordered slabs (semantics there). An empty
+    result keeps the winners' schema (``EVENT_SCHEMA`` when every file is
+    pruned)."""
+    slabs = _resolve(
+        lake_dir, files, as_of_lsn, conv_range, since_lsn, columns,
+        STREAM_RESOLVE_BATCH_ROWS, None,
+    )
+    target = next(slabs)
+    tables = list(slabs)
+    return pa.concat_tables(tables) if tables else target.empty_table()
 
 
 def live_rows(resolved: pa.Table) -> pa.Table:
@@ -994,18 +984,6 @@ def scan_buckets(
     return ds
 
 
-def _resolve_slabs(lake_dir: str, bucket: int, files: list, stream_min: int, **kw):
-    """One bucket's LWW winners: streamed as key-ordered slabs by the
-    bounded-memory k-way merge when its sorted files hold at least
-    ``stream_min`` rows (a full sync must not materialize a big bucket),
-    else resolved eagerly into one table. ``kw`` as ``resolve_bucket``."""
-    sorted_rows = sum(int(f.get("row_count") or 0) for f in files if f.get("sorted"))
-    if sorted_rows >= stream_min:
-        yield from iter_resolve_bucket(lake_dir, bucket, files, **kw)
-    else:
-        yield resolve_bucket(lake_dir, bucket, files, **kw)
-
-
 def read_final_table(
     lake_dir: str,
     concurrency: int | None = None,
@@ -1021,7 +999,7 @@ def read_final_table(
 
     ``columns``: projection pushdown — only these payload columns (plus the
     key/ordering columns LWW needs) are decoded from Parquet; see
-    ``resolve_bucket``. The result schema is the key columns + the
+    ``iter_resolve_bucket``. The result schema is the key columns + the
     requested columns, in schema order.
 
     Shuffle-free (the data is already hash-partitioned on conv_id): buckets
@@ -1059,7 +1037,7 @@ def read_final_table(
     Time travel: ``version`` reads an older manifest snapshot (retained —
     see Manifest.cleanup_orphans); ``as_of_lsn`` reconstructs the state as
     of an LSN (exact at committed chunk watermarks — see
-    ``resolve_bucket``). All options compose."""
+    ``iter_resolve_bucket``). All options compose."""
     from ..state.manifest import Manifest
 
     man = Manifest.load(lake_dir) if version is None else Manifest.load_version(
@@ -1069,7 +1047,7 @@ def read_final_table(
     # point-lookup Bloom prune: a file whose Bloom filter rejects the key
     # provably holds no row of that key (no false negatives), so skipping
     # it cannot change the key's LWW winner — the same soundness argument
-    # as the conv_range prune in resolve_bucket. Files without a recorded
+    # as the conv_range prune in iter_resolve_bucket. Files without a recorded
     # filter (older manifests) are always read. The one hash also routes
     # the key to its candidate buckets.
     key_hash = None
@@ -1138,8 +1116,6 @@ def read_final_table(
             [f for f in TRANSCRIPT_SCHEMA if f.name in keep]
         ).empty_table()
 
-    stream_min = stream_resolve_min_rows()
-
     def _post(t: pa.Table) -> pa.Table:
         t = live_rows(t)
         if committed is not None:
@@ -1164,8 +1140,8 @@ def read_final_table(
         return t
 
     def resolve(b: int, files: list):
-        for slab in _resolve_slabs(
-            lake_dir, b, files, stream_min,
+        for slab in iter_resolve_bucket(
+            lake_dir, b, files,
             as_of_lsn=as_of_lsn, conv_range=conv_range, columns=columns,
         ):
             yield _post(slab)
@@ -1232,11 +1208,9 @@ def read_change_feed(
         if files:
             work[b] = files
 
-    stream_min = stream_resolve_min_rows()
-
     def feed(b: int, files: list):
-        for slab in _resolve_slabs(
-            lake_dir, b, files, stream_min, as_of_lsn=until_lsn, since_lsn=since_lsn
+        for slab in iter_resolve_bucket(
+            lake_dir, b, files, as_of_lsn=until_lsn, since_lsn=since_lsn
         ):
             yield slab if committed is None else unify_to_schema(slab, committed)
 
@@ -1247,144 +1221,14 @@ def read_change_feed(
     )
 
 
-#: sentinel: streaming compaction could not run soundly (missing ts stats
-#: under a tombstone horizon) — caller falls back to the eager path
-_EAGER_FALLBACK = object()
-
-
-def _compact_bucket_streaming(
-    lake_dir: str,
-    bucket: int,
-    files: list,
-    tombstone_horizon_us: int | None,
-    out_kind: str,
-    stream_rows: int = STREAM_RESOLVE_BATCH_ROWS,
-    stats: dict | None = None,
-):
-    """Bounded-memory compaction: pipe ``iter_resolve_bucket`` winner slabs
-    straight into a ParquetWriter. Output rows are identical to the eager
-    path (same winners, same (conv_id, turn_idx) order — winners have unique
-    keys, so the LWW-then-sort of the eager path equals the merge emission
-    order). The content-hash filename is computed over the slab IPC stream
-    (deterministic for a given input set → retried tasks stay idempotent;
-    it intentionally differs from the eager path's whole-table hash, which
-    would require materializing the bucket).
-
-    With ``tombstone_horizon_us``, the cutoff needs max winner ts, which
-    equals max row ts (the globally max-ts row always wins its key) — read
-    from the manifest's per-file ts stats; if any file lacks them, returns
-    ``_EAGER_FALLBACK``."""
-    import hashlib
-
-    cutoff_us = None
-    if tombstone_horizon_us is not None:
-        ts_maxes = [f.get("ts_us_max") for f in files]
-        if any(m is None for m in ts_maxes):
-            return _EAGER_FALLBACK
-        cutoff_us = max(ts_maxes) - tombstone_horizon_us
-
-    import uuid
-
-    directory = bucket_dir(lake_dir, bucket)
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".compact.tmp.{uuid.uuid4().hex}")
-    sha = hashlib.sha256()
-    writer = None
-    n_rows = 0
-    lsn_min = lsn_max = None
-    conv_min = conv_max = None
-    ts_min = ts_max = None
-    conv_hash_chunks: list = []
-    pending: list = []
-    pending_rows = 0
-
-    def _flush(force: bool = False):
-        nonlocal pending, pending_rows, writer
-        if not pending or (not force and pending_rows < LAKE_ROW_GROUP_SIZE):
-            return
-        t = pa.concat_tables(pending).combine_chunks()
-        if writer is None:
-            writer = pq.ParquetWriter(
-                tmp, t.schema, compression=LAKE_COMPRESSION
-            )
-        writer.write_table(t, row_group_size=LAKE_ROW_GROUP_SIZE)
-        pending, pending_rows = [], 0
-
-    try:
-        for slab in iter_resolve_bucket(
-            lake_dir, bucket, files, stream_rows=stream_rows, stats=stats
-        ):
-            if cutoff_us is not None and slab.num_rows:
-                keep = pc.or_(
-                    pc.not_equal(slab["op"], "delete"),
-                    pc.greater_equal(slab["ts"].cast(pa.int64()), cutoff_us),
-                )
-                slab = slab.filter(keep)
-            if slab.num_rows == 0:
-                continue
-            n_rows += slab.num_rows
-            mm = pc.min_max(slab["lsn"]).as_py()
-            lsn_min = mm["min"] if lsn_min is None else min(lsn_min, mm["min"])
-            lsn_max = mm["max"] if lsn_max is None else max(lsn_max, mm["max"])
-            cmin, cmax = _conv_minmax(slab)
-            if cmin is not None:
-                conv_min = cmin if conv_min is None else min(conv_min, cmin)
-                conv_max = cmax if conv_max is None else max(conv_max, cmax)
-            tmin, tmax = _ts_us_minmax(slab)
-            if tmin is not None:
-                ts_min = tmin if ts_min is None else min(ts_min, tmin)
-                ts_max = tmax if ts_max is None else max(ts_max, tmax)
-            from ..functions.hashing import hash_strings
-
-            conv_hash_chunks.append(np.unique(hash_strings(slab["conv_id"])))
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, slab.schema) as w:
-                w.write_table(slab)
-            sha.update(sink.getvalue().to_pybytes())
-            pending.append(slab)
-            pending_rows += slab.num_rows
-            _flush()
-        _flush(force=True)
-        if writer is not None:
-            writer.close()
-            writer = None
-        if n_rows == 0:
-            return None
-        h = sha.hexdigest()[:24]
-        final = os.path.join(directory, f"{out_kind}-{h}.parquet")
-        if os.path.exists(final):
-            os.remove(tmp)  # idempotent retry — keep the existing file
-        else:
-            os.replace(tmp, final)
-        from ..functions.bloom import bloom_b64_from_hashes
-
-        all_hashes = (
-            np.unique(np.concatenate(conv_hash_chunks))
-            if conv_hash_chunks
-            else np.empty(0, dtype=np.uint64)
-        )
-        return {
-            "path": os.path.relpath(final, lake_dir),
-            "kind": out_kind,
-            "content_hash": h,
-            "row_count": n_rows,
-            "min_lsn": int(lsn_min),
-            "max_lsn": int(lsn_max),
-            "conv_min": conv_min,
-            "conv_max": conv_max,
-            "ts_us_min": ts_min,
-            "ts_us_max": ts_max,
-            "conv_bloom": bloom_b64_from_hashes(all_hashes),
-            "sorted": True,
-        }
-    finally:
-        if writer is not None:
-            writer.close()
-        if os.path.exists(tmp):
-            try:
-                os.remove(tmp)
-            except FileNotFoundError:
-                pass
+def _file_ts_us_max(lake_dir: str, f: dict) -> int | None:
+    """A file's max event time in epoch µs: its manifest stat, or, for a
+    record written without one, read from the file's ts column."""
+    if f.get("ts_us_max") is not None:
+        return f["ts_us_max"]
+    return _ts_us_minmax(
+        pq.read_table(os.path.join(lake_dir, f["path"]), columns=["ts"])
+    )[1]
 
 
 def compact_bucket(
@@ -1412,7 +1256,27 @@ def compact_bucket(
     chunks may carry events whose `ts` is older than a delete's — dropping
     the tombstone would resurrect the key. If the producer guarantees
     bounded event-time disorder, pass ``tombstone_horizon_us`` to drop
-    tombstones older than (max ts − horizon)."""
+    tombstones older than (max ts − horizon). Max winner ts equals max row
+    ts (the globally max-ts row always wins its key), so the cutoff comes
+    from the files' ``ts_us_max`` stats without a resolve.
+
+    Bounded memory: ``iter_resolve_bucket``'s winner slabs, already in
+    (conv_id, turn_idx) order, are cut into pieces of exactly
+    ``LAKE_ROW_GROUP_SIZE`` rows, one Parquet row group each, written as
+    they fill. Sort-within-file tightens the manifest's per-file conv stats
+    and gives page-level locality for key scans (the clustered half of the
+    secondary-index analog); the output is flagged ``sorted`` so the
+    resolver merges it as a streamed run. The file is named by a hash of
+    its pieces' IPC bytes, a function of the output rows alone: a retried
+    task lands on the same file, and a bucket of one piece gets exactly its
+    ``content_hash`` name, so re-compacting a compacted bucket keeps its
+    file."""
+    import hashlib
+    import uuid
+
+    from ..functions.bloom import bloom_b64_from_hashes
+    from ..functions.hashing import hash_strings, ipc_bytes
+
     if out_kind not in ("base", "delta"):
         raise ValueError(f"out_kind must be 'base' or 'delta', got {out_kind!r}")
     if out_kind == "delta" and tombstone_horizon_us is not None:
@@ -1421,142 +1285,100 @@ def compact_bucket(
             "compaction: the base is not rewritten, so a dropped tombstone "
             "would resurrect the base row it deletes"
         )
-    # big buckets with a sorted base stream-merge instead of materializing:
-    # steady-state major compaction (sorted base + fresh deltas) is the one
-    # place a bucket larger than worker heap MUST still fold
-    sorted_rows = sum(
-        int(f.get("row_count") or 0) for f in files if f.get("sorted")
-    )
-    if sorted_rows >= stream_resolve_min_rows():
-        out = _compact_bucket_streaming(
-            lake_dir, bucket, files, tombstone_horizon_us, out_kind
-        )
-        if out is not _EAGER_FALLBACK:
-            return out
-    resolved = resolve_bucket(lake_dir, bucket, files)
-    if tombstone_horizon_us is not None and resolved.num_rows:
-        max_ts = pc.max(resolved["ts"]).as_py()
-        if max_ts is not None:
-            import datetime
+    cutoff_us = None
+    if tombstone_horizon_us is not None:
+        ts_maxes = [_file_ts_us_max(lake_dir, f) for f in files]
+        ts_maxes = [m for m in ts_maxes if m is not None]
+        if ts_maxes:
+            cutoff_us = max(ts_maxes) - tombstone_horizon_us
 
-            cutoff = max_ts - datetime.timedelta(microseconds=tombstone_horizon_us)
-            keep = pc.or_(
-                pc.not_equal(resolved["op"], "delete"),
-                pc.greater_equal(resolved["ts"], pa.scalar(cutoff, pa.timestamp("us"))),
-            )
-            resolved = resolved.filter(keep)
-    if resolved.num_rows == 0:
-        return None
-    # sort-within-file on (conv_id, turn_idx): tightens the manifest's
-    # per-file conv stats and gives parquet page-level locality for key
-    # scans — the clustered half of the secondary-index analog
-    resolved = resolved.take(
-        pc.sort_indices(
-            resolved,
-            sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
+    directory = bucket_dir(lake_dir, bucket)
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".compact.tmp.{uuid.uuid4().hex}")
+    sha = hashlib.sha256()
+    writer = None
+    # per-piece stats: row count, lsn / conv_id / ts (min, max), key hashes
+    rows = 0
+    lsns: list = []
+    convs: list = []
+    tss: list = []
+    key_hashes: list = []
+
+    def write_piece(t: pa.Table) -> None:
+        nonlocal writer, rows
+        # one fresh chunk per column: the IPC bytes of a zero-copy slice
+        # carry its parent's buffers, so equal rows would hash apart
+        t = pa.Table.from_arrays(
+            [pa.concat_arrays(c.chunks) for c in t.columns], schema=t.schema
         )
+        sha.update(ipc_bytes(t))
+        if writer is None:
+            writer = pq.ParquetWriter(tmp, t.schema, compression=LAKE_COMPRESSION)
+        writer.write_table(t, row_group_size=LAKE_ROW_GROUP_SIZE)
+        rows += t.num_rows
+        lsns.extend(pc.min_max(t["lsn"]).as_py().values())
+        convs.extend(_conv_minmax(t))
+        tss.extend(_ts_us_minmax(t))
+        key_hashes.append(np.unique(hash_strings(t["conv_id"])))
+
+    pending: list = []
+    pending_rows = 0
+    try:
+        for slab in iter_resolve_bucket(lake_dir, bucket, files):
+            if cutoff_us is not None:
+                slab = slab.filter(pc.or_(
+                    pc.not_equal(slab["op"], "delete"),
+                    pc.greater_equal(slab["ts"].cast(pa.int64()), cutoff_us),
+                ))
+            pending.append(slab)
+            pending_rows += slab.num_rows
+            while pending_rows >= LAKE_ROW_GROUP_SIZE:
+                t = pa.concat_tables(pending)
+                write_piece(t.slice(0, LAKE_ROW_GROUP_SIZE))
+                pending = [t.slice(LAKE_ROW_GROUP_SIZE)]
+                pending_rows -= LAKE_ROW_GROUP_SIZE
+        if pending_rows:
+            write_piece(pa.concat_tables(pending))
+        if writer is None:
+            return None
+        writer.close()
+        writer = None
+        h = sha.hexdigest()[:24]
+        final = os.path.join(directory, f"{out_kind}-{h}.parquet")
+        if os.path.exists(final):
+            os.remove(tmp)  # idempotent retry — keep the existing file
+        else:
+            os.replace(tmp, final)
+    finally:
+        if writer is not None:
+            writer.close()
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+    def lo_hi(vals: list) -> tuple:
+        vals = [v for v in vals if v is not None]
+        return (min(vals), max(vals)) if vals else (None, None)
+
+    (lsn_min, lsn_max), (conv_min, conv_max), (ts_min, ts_max) = map(
+        lo_hi, (lsns, convs, tss)
     )
-    h = content_hash(resolved)
-    path = _write_immutable(
-        resolved, bucket_dir(lake_dir, bucket), f"{out_kind}-{h}.parquet"
-    )
-    cmin, cmax = _conv_minmax(resolved)
-    tmin, tmax = _ts_us_minmax(resolved)
     return {
-        "path": os.path.relpath(path, lake_dir),
+        "path": os.path.relpath(final, lake_dir),
         "kind": out_kind,
         "content_hash": h,
-        "row_count": resolved.num_rows,
-        "min_lsn": pc.min(resolved["lsn"]).as_py(),
-        "max_lsn": pc.max(resolved["lsn"]).as_py(),
-        "conv_min": cmin,
-        "conv_max": cmax,
+        "row_count": rows,
+        "min_lsn": lsn_min,
+        "max_lsn": lsn_max,
+        "conv_min": conv_min,
+        "conv_max": conv_max,
         # winner event-time range (tombstones included): on a compacted
         # base every row IS the resolved state, so these stats make the
         # ts file prunes in read_final_table tight
-        "ts_us_min": tmin,
-        "ts_us_max": tmax,
-        "conv_bloom": _conv_bloom(resolved),
-        # written key-sorted (the take above) — the streaming resolver
-        # (iter_resolve_bucket) merges flagged files in bounded memory
+        "ts_us_min": ts_min,
+        "ts_us_max": ts_max,
+        "conv_bloom": bloom_b64_from_hashes(np.concatenate(key_hashes)),
         "sorted": True,
     }
-
-
-def _paired_key_slabs(iter_a, iter_b):
-    """Align two key-sorted unique-key winner streams (iter_resolve_bucket
-    outputs) into (slab_a, slab_b) pairs covering the SAME key range —
-    every key's (old, new) versions meet in exactly one pair, in bounded
-    memory (the two-stream sibling of ``_kway_merge_lww``'s safe-boundary
-    rule; a key below both streams' buffered max cannot appear again in
-    either)."""
-    iters = [iter(iter_a), iter(iter_b)]
-    bufs: list = [None, None]
-    done = [False, False]
-
-    def refill(i) -> bool:
-        while True:
-            try:
-                t = next(iters[i])
-            except StopIteration:
-                done[i] = True
-                return False
-            if t.num_rows:
-                t = t.append_column("__key", _merge_key(t))
-                bufs[i] = (
-                    t
-                    if bufs[i] is None or bufs[i].num_rows == 0
-                    else pa.concat_tables([bufs[i], t])
-                )
-                return True
-
-    refill(0)
-    refill(1)
-    while True:
-        for i in (0, 1):
-            if not done[i] and (bufs[i] is None or bufs[i].num_rows == 0):
-                refill(i)
-        have = [i for i in (0, 1) if bufs[i] is not None and bufs[i].num_rows]
-        active = [i for i in (0, 1) if not done[i]]
-        if not have:
-            if not active:
-                return
-            continue
-        if active:
-            safe = min(bufs[i]["__key"][-1].as_py() for i in active)
-            out = [None, None]
-            total = 0
-            for i in have:
-                n_lt = int(
-                    pc.sum(
-                        pc.cast(pc.less(bufs[i]["__key"], safe), pa.int64())
-                    ).as_py()
-                    or 0
-                )
-                if n_lt:
-                    out[i] = bufs[i].slice(0, n_lt)
-                    bufs[i] = (
-                        None if n_lt == bufs[i].num_rows else bufs[i].slice(n_lt)
-                    )
-                    total += n_lt
-            if total == 0:
-                for i in active:
-                    if (
-                        bufs[i] is None
-                        or bufs[i].num_rows == 0
-                        or bufs[i]["__key"][-1].as_py() == safe
-                    ):
-                        refill(i)
-                continue
-        else:
-            out = [bufs[0], bufs[1]]
-            bufs = [None, None]
-        yield (
-            out[0].drop_columns(["__key"]) if out[0] is not None else None,
-            out[1].drop_columns(["__key"]) if out[1] is not None else None,
-        )
-        if not active and all(b is None or b.num_rows == 0 for b in bufs):
-            return
 
 
 def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
@@ -1576,8 +1398,10 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
     committed file lists carry identical content-hash fingerprints are
     skipped WITHOUT any I/O — an audit of a small commit touches only the
     buckets that commit changed, O(change) not O(lake). Within a touched
-    bucket both versions resolve (winners incl. tombstones) and the diff
-    is a vectorized Arrow join on the key.
+    bucket both versions' winners (tombstones included) stream from
+    ``iter_resolve_bucket`` in key order, ``_aligned_slices`` pairs their
+    slices of each key range, and each pair diffs as a vectorized Arrow
+    join on the key: bounded memory, never two whole bucket copies.
 
     Time travel durability: exact while both versions are retained
     (``Manifest.expire_versions`` keeps the window; a cleaned-up ``v_old``
@@ -1661,40 +1485,18 @@ def diff_versions(lake_dir: str, v_old: int, v_new: int | None = None):
             out.append(purge)
         return out
 
-    stream_min = stream_resolve_min_rows()
-
     def diff(b: int, pair: tuple):
-        # big buckets diff as aligned streaming slab pairs (each version
-        # resolved via the bounded-memory k-way merge), so a version audit
-        # never holds two full bucket copies per task
-        files_old, files_new = pair
-        big = max(
-            sum(int(f.get("row_count") or 0) for f in fl if f.get("sorted"))
-            for fl in pair
-        )
-        if big >= stream_min:
-            pairs = _paired_key_slabs(
-                iter_resolve_bucket(lake_dir, b, files_old),
-                iter_resolve_bucket(lake_dir, b, files_new),
-            )
-            for slab_old, slab_new in pairs:
-                old = unify_to_schema(
-                    slab_old if slab_old is not None
-                    else out_schema.empty_table(),
+        # both versions' winners stream in key order; aligned slices hold
+        # every key's (old, new) winners together, in bounded memory
+        runs = [map(_keyed, iter_resolve_bucket(lake_dir, b, files)) for files in pair]
+        for slices in _aligned_slices(runs):
+            old, new = (
+                unify_to_schema(
+                    out_schema.empty_table() if t is None
+                    else t.drop_columns(["__key"]),
                     out_schema,
                 )
-                new = unify_to_schema(
-                    slab_new if slab_new is not None
-                    else out_schema.empty_table(),
-                    out_schema,
-                )
-                yield from _diff_tables(old, new)
-        else:
-            old = unify_to_schema(
-                resolve_bucket(lake_dir, b, files_old), out_schema
-            )
-            new = unify_to_schema(
-                resolve_bucket(lake_dir, b, files_new), out_schema
+                for t in slices
             )
             yield from _diff_tables(old, new)
 

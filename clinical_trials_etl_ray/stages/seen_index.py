@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import hash_strings
@@ -242,15 +243,19 @@ def _filter_from_stamped(man: Manifest, stamped):
     }
     drop = [FP_COL, BUCKET_COL]
 
-    def _filter(g: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(g[BUCKET_COL].iat[0])
+    def _filter(g: pa.Table) -> pa.Table:
+        # Arrow in and out: a group whose rows were all seen stays a typed
+        # empty table (an empty pandas frame loses its column types)
+        bucket = g[BUCKET_COL][0].as_py()
+        fps = g[FP_COL]
         seen = _bucket_seen_among(
-            index_dir, files_by_bucket[bucket], g[FP_COL]
+            index_dir, files_by_bucket[bucket], fps.to_pylist()
         )
-        return g[~g[FP_COL].isin(seen)].drop(columns=drop)
+        new = pc.invert(pc.is_in(fps, value_set=pa.array(list(seen), pa.string())))
+        return g.filter(new).drop_columns(drop)
 
     return stamped.groupby(BUCKET_COL).map_groups(
-        _filter, batch_format="pandas"
+        _filter, batch_format="pyarrow"
     )
 
 

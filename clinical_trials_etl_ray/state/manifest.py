@@ -415,20 +415,17 @@ class Manifest:
                     buckets[str(b)]["files"] = files
                 else:
                     # rebase-able replace: (current − consumed) + outputs.
-                    # On a first attempt this reduces exactly to ``files``
-                    # (kept = current − consumed, outputs ∉ current).
-                    cur_files = buckets[str(b)]["files"]
-                    cur_paths = {f["path"] for f in cur_files}
+                    # On a first attempt this reduces exactly to ``files``.
+                    # An output may land on a path it consumed (content-hash
+                    # names: re-compacting a compacted bucket rewrites the
+                    # same rows), so it is re-added, not dropped with it.
                     merged = [
-                        f for f in cur_files if f["path"] not in consumed_paths
+                        f
+                        for f in buckets[str(b)]["files"]
+                        if f["path"] not in consumed_paths
                     ]
                     merged_paths = {f["path"] for f in merged}
-                    merged += [
-                        f
-                        for f in files
-                        if f["path"] not in cur_paths
-                        and f["path"] not in merged_paths
-                    ]
+                    merged += [f for f in files if f["path"] not in merged_paths]
                     buckets[str(b)]["files"] = merged
         for f in new_files:
             b = str(f["bucket"])

@@ -103,6 +103,28 @@ def test_filter_unseen_is_cross_run_only(ray_session, tmp_path):
     assert list(got.columns) == ["doc_id", "text"]
 
 
+def test_filter_all_seen_keeps_increment_schema(ray_session, tmp_path):
+    """An increment whose every row is already indexed filters to 0 rows
+    that keep the increment's column types, not types inferred from an
+    empty frame (the fingerprint and bucket columns are dropped)."""
+    import pyarrow as pa
+    import ray.data
+
+    from clinical_trials_etl_ray.stages.seen_index import (
+        filter_unseen,
+        update_seen_index,
+    )
+
+    idx = str(tmp_path / "idx")
+    rows = [{"doc_id": i, "text": f"seen {i}"} for i in range(10)]
+    update_seen_index(idx, _docs_ds(rows), num_buckets=4)
+
+    increment = pa.Table.from_pylist(rows[2:8])
+    got = filter_unseen(ray.data.from_arrow(increment), idx).materialize()
+    assert got.count() == 0
+    assert got.schema().base_schema == increment.schema
+
+
 def test_concurrent_index_writers_coordinate(ray_session, tmp_path):
     """Two updates racing to the same index version: the raw race is an
     exclusive-create loss (observable with max_retries=0, same protocol as
